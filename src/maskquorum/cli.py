@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -52,7 +51,7 @@ from .constructions import (
     spec_from_json,
     spec_to_json,
 )
-from .core import ElementSet, Rng, validate_explicit
+from .core import Rng, validate_explicit
 from .errors import (
     ApplicabilityError,
     MaskQuorumError,
@@ -150,7 +149,7 @@ def _cmd_fp(args: argparse.Namespace) -> int:
     p = args.p
     # Default mode: exact when the enumeration is tractable, Monte Carlo
     # otherwise.  Crossing-path systems with r >= 2 evaluate liveness by
-    # max-flow per subset, so auto-exact is limited to 2^16 subsets there;
+    # batched max-flow, so auto-exact is limited to 2^16 subsets there;
     # --exact still forces full enumeration.
     flow_backed = isinstance(spec, MPathSpec) and spec.r > 1
     auto_exact = handle.n <= (16 if flow_backed else EXACT_MAX_N)
@@ -284,22 +283,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     gen = rng.generator()
     masks = system.quorum_masks()
     n = system.n
-    for trial in range(200):
-        prob = (0.2, 0.5, 0.8)[trial % 3]
+    trials = 200
+    probs = np.array([0.2, 0.5, 0.8])[np.arange(trials) % 3]
+    alive = gen.random((trials, n)) >= probs[:, None]
+    handle_live = handle.live_batch(alive)
+    for trial in range(trials):
         alive_mask = 0
-        for i in np.nonzero(gen.random(n) >= prob)[0]:
+        for i in np.nonzero(alive[trial])[0]:
             alive_mask |= 1 << int(i)
         explicit_live = any(q & ~alive_mask == 0 for q in masks)
-        handle_live = handle.live(ElementSet(n, alive_mask))
-        if explicit_live and not handle_live:
+        if explicit_live and not handle_live[trial]:
             mismatches.append(f"live: quorum alive but handle dead (trial {trial})")
-        if handle_live and not explicit_live and not isinstance(spec, MPathSpec):
+        if handle_live[trial] and not explicit_live and not isinstance(spec, MPathSpec):
             mismatches.append(f"live: handle alive but no quorum alive (trial {trial})")
-    for _ in range(100):
-        quorum = handle.sample_quorum(gen)
-        if not handle.live(quorum):
-            mismatches.append("sampled quorum is not live")
-            break
+    quorums = np.array([handle.sample_quorum(gen).as_bool() for _ in range(100)])
+    if not handle.live_batch(quorums).all():
+        mismatches.append("sampled quorum is not live")
 
     fair = is_fair(system)
     if fair and system.m <= 10 ** 4 and n <= 10 ** 3:

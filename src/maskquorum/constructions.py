@@ -22,7 +22,7 @@ from ._bitops import ceil_sqrt, iter_bits, pack_rows
 from .composition import compose_params
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ParameterError, SizeError, UnsupportedOrderError
-from .paths import LR, TB, connected_batch, mpath_live
+from .paths import LR, TB, connected_batch, disjoint_path_counts
 
 __all__ = [
     "MGridSpec", "ThresholdSpec", "RTSpec", "FPPSpec", "BoostFPPSpec",
@@ -536,7 +536,9 @@ class MPathHandle(QuorumSystemHandle):
 
     Analytic parameters report the straight-path quorum size 2*r*side - r^2 and
     the crossing-argument intersection bound r^2.  Sampling and materialization
-    use straight rows/columns only; liveness uses the max-flow path count.
+    use straight rows/columns only.  Liveness uses the packed flood fill when
+    r = 1 and n <= 64, and otherwise the batched max-flow path count capped
+    at r.
     """
 
     def __init__(self, spec: MPathSpec):
@@ -547,21 +549,11 @@ class MPathHandle(QuorumSystemHandle):
         self.params = SystemParams.derive(
             n=n, c=c, i_min=r * r, a_min=side - r + 1, load=c / n)
 
-    def live(self, alive: ElementSet) -> bool:
-        if alive.n != self.params.n:
-            raise ParameterError(
-                f"alive set has universe {alive.n}, construction has {self.params.n}")
-        return mpath_live(self.spec.side, self.spec.r, alive)
-
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
         side, r = self.spec.side, self.spec.r
         if r == 1 and self.params.n <= 64:
             return self.live_packed_masks(pack_rows(alive))
-        n = self.params.n
-        return np.array(
-            [mpath_live(side, r, ElementSet.from_indices(n, np.nonzero(row)[0]))
-             for row in alive],
-            dtype=bool)
+        return (disjoint_path_counts(side, alive, r) >= r).all(axis=1)
 
     def live_packed_masks(self, masks: np.ndarray) -> np.ndarray | None:
         """Bit-parallel live predicate over packed alive-masks (r = 1 only)."""

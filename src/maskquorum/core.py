@@ -56,7 +56,7 @@ class ElementSet:
         for i in indices:
             if not 0 <= i < n:
                 raise ParameterError(f"element {i} outside universe of size {n}")
-            mask |= 1 << i
+            mask |= 1 << int(i)
         return cls(n, mask)
 
     def members(self) -> tuple[int, ...]:
@@ -100,7 +100,8 @@ class ElementSet:
 
     def as_bool(self) -> np.ndarray:
         """Membership as a boolean vector of length n."""
-        return np.array([(self.mask >> i) & 1 for i in range(self.n)], dtype=bool)
+        packed = np.frombuffer(self.mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little").astype(bool)
 
     def __repr__(self) -> str:
         return f"ElementSet(n={self.n}, {{{', '.join(map(str, self.members()))}}})"

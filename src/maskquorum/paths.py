@@ -5,23 +5,29 @@ Vertices are the cells of a side x side grid, numbered (i, j) -> i*side + j
 (i) same row, j2 = j1 + 1; (ii) same column, i2 = i1 + 1;
 (iii) i2 = i1 - 1 and j2 = j1 + 1 (the triangulating diagonal).
 
-max_disjoint_paths counts pairwise vertex-disjoint open paths between two
+disjoint_path_counts counts pairwise vertex-disjoint open paths between two
 opposite sides via unit-capacity max-flow on the node-split graph (each open
 vertex capacity 1, dead vertices capacity 0), which is exact by Menger's
-theorem.  Paths may wander arbitrarily; monotonicity is not assumed.
+theorem.  Paths may wander arbitrarily; monotonicity is not assumed.  The
+graph of a side is built once; each call fills in its capacities and runs
+scipy's Dinic on many alive rows at once, with every row's count capped.
+max_disjoint_paths and mpath_live are one-row calls on the same graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Literal
+from functools import lru_cache
+from typing import Literal, NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from .core import ElementSet
 from .errors import ParameterError
 
-__all__ = ["TriGrid", "Orientation", "LR", "TB", "max_disjoint_paths", "mpath_live"]
+__all__ = ["TriGrid", "Orientation", "LR", "TB", "disjoint_path_counts",
+           "max_disjoint_paths", "mpath_live"]
 
 Orientation = Literal["LR", "TB"]
 LR: Orientation = "LR"
@@ -64,6 +70,123 @@ def _check_orientation(orientation: str) -> None:
         raise ParameterError(f"orientation must be 'LR' or 'TB', got {orientation!r}")
 
 
+# ---------------------------------------------------------------------------
+# Batched, capped max-flow on the node-split grid
+# ---------------------------------------------------------------------------
+
+# Edges per max-flow call.  It bounds a slab's memory, and it keeps slabs of
+# large grids small: each Dinic phase scans the whole slab, and a slab needs as
+# many phases as the distinct path lengths of all its copies together.
+_FLOW_EDGE_BUDGET = 1 << 15
+
+
+class _FlowTemplate(NamedTuple):
+    """Node-split flow network of one alive row, cached per grid side.
+
+    The row owns two copies of the grid, LR then TB, each with in-nodes v,
+    out-nodes n+v and a local source 2n.  Edges are stored in CSR order with
+    heads numbered inside the row; edges into the shared sink are flagged.
+    """
+
+    nodes: int             # nodes of one row (both copies)
+    indptr: np.ndarray     # (nodes + 1,) edge offsets of each node's row
+    heads: np.ndarray      # (edges,) head of each edge, row-local
+    to_sink: np.ndarray    # (edges,) True where the head is the shared sink
+    split: np.ndarray      # (2, n) position of v_in -> v_out in each copy
+    sources: np.ndarray    # (2,) local source of each copy
+
+
+@lru_cache(maxsize=16)
+def _flow_template(side: int) -> _FlowTemplate:
+    grid = TriGrid(side)
+    n = grid.n
+    copy_nodes = 2 * n + 1
+    cells = np.arange(n).reshape(side, side)
+    ends = {LR: (cells[:, 0], cells[:, -1]), TB: (cells[0, :], cells[-1, :])}
+    arcs = np.array([(u, v) for u in range(n) for v in grid.neighbors(u)],
+                    dtype=np.int64).reshape(-1, 2)
+    tails, heads = [], []
+    for copy, orientation in enumerate((LR, TB)):
+        base = copy * copy_nodes
+        start, end = ends[orientation]
+        tails += [base + np.arange(n), base + n + arcs[:, 0],
+                  np.full(side, base + 2 * n), base + n + end]
+        heads += [base + n + np.arange(n), base + arcs[:, 1], base + start,
+                  np.full(side, -1)]
+    tail, head = np.concatenate(tails), np.concatenate(heads)
+    order = np.lexsort((head, tail))  # sink (-1) first, as node 1 is in a slab
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    copy_edges = len(tail) // 2
+    split = np.stack([position[:n], position[copy_edges:copy_edges + n]])
+    nodes = 2 * copy_nodes
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=nodes))])
+    template = _FlowTemplate(
+        nodes=nodes,
+        indptr=indptr.astype(np.int32),
+        heads=head[order].astype(np.int32),
+        to_sink=head[order] < 0,
+        split=split,
+        sources=np.array([2 * n, copy_nodes + 2 * n], dtype=np.int32),
+    )
+    for arr in template[1:]:
+        arr.setflags(write=False)
+    return template
+
+
+def _slab_counts(t: _FlowTemplate, alive: np.ndarray, cap: int) -> np.ndarray:
+    """Capped LR and TB path counts of every row of one slab, by one Dinic run.
+
+    Node 0 is the super-source, node 1 the shared sink, and row k starts at
+    node 2 + k * t.nodes.  The super-source feeds each copy's local source
+    through an edge of capacity ``cap``, so the flow on that edge is the
+    copy's path count, capped.
+    """
+    rows = len(alive)
+    edges = len(t.heads)
+    row = np.arange(rows, dtype=np.int32)[:, None]
+    offsets = 2 + t.nodes * row
+    lead = 2 * rows
+    indptr = np.empty(2 + rows * t.nodes + 1, dtype=np.int32)
+    indptr[:2] = 0, lead
+    indptr[2:-1] = (lead + edges * row + t.indptr[:-1]).ravel()
+    indptr[-1] = lead + rows * edges
+    indices = np.empty(lead + rows * edges, dtype=np.int32)
+    indices[:lead] = (offsets + t.sources).ravel()
+    indices[lead:] = np.where(t.to_sink, 1, t.heads + offsets).ravel()
+    data = np.ones(lead + rows * edges, dtype=np.int32)
+    data[:lead] = cap
+    body = data[lead:].reshape(rows, edges)
+    body[:, t.split[0]] = alive
+    body[:, t.split[1]] = alive
+    size = len(indptr) - 1
+    flow = maximum_flow(csr_array((data, indices, indptr), shape=(size, size)),
+                        0, 1, method="dinic").flow
+    return flow.data[flow.indptr[0]:flow.indptr[1]].reshape(rows, 2)
+
+
+def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
+    """Vertex-disjoint open crossing paths of each alive row, capped at ``cap``.
+
+    ``alive`` is a (T, side*side) boolean matrix.  Returns a (T, 2) integer
+    array whose columns are min(paths, cap) for LR and TB.  Rows go through
+    Dinic's algorithm in slabs sized to a fixed edge budget; the cap stops
+    each copy's flow once it reaches ``cap`` paths.
+    """
+    t = _flow_template(side)
+    alive = np.asarray(alive, dtype=bool)
+    if alive.ndim != 2 or alive.shape[1] != side * side:
+        raise ParameterError(
+            f"alive rows must have {side * side} columns, got shape {alive.shape}")
+    if cap < 1:
+        raise ParameterError(f"path cap must be >= 1, got {cap}")
+    slab = max(1, _FLOW_EDGE_BUDGET // len(t.heads))
+    out = np.empty((len(alive), 2), dtype=np.int64)
+    for start in range(0, len(alive), slab):
+        out[start:start + slab] = _slab_counts(t, alive[start:start + slab], cap)
+    return out
+
+
 def max_disjoint_paths(grid: TriGrid, alive: ElementSet, orientation: Orientation) -> int:
     """Maximum number of pairwise vertex-disjoint open paths across the grid.
 
@@ -73,82 +196,15 @@ def max_disjoint_paths(grid: TriGrid, alive: ElementSet, orientation: Orientatio
     _check_orientation(orientation)
     if alive.n != grid.n:
         raise ParameterError(f"alive set has universe {alive.n}, grid has {grid.n}")
-    side, n = grid.side, grid.n
-    amask = alive.mask
-    if amask == 0:
-        return 0
-
-    # Node-split flow network: v_in = v, v_out = v + n, then source/sink.
-    source, sink = 2 * n, 2 * n + 1
-    nv = 2 * n + 2
-    head: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nv)]
-
-    def add_edge(u: int, v: int) -> None:
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(1)
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0)
-
-    for v in range(n):
-        if (amask >> v) & 1:
-            add_edge(v, v + n)
-    for u in range(n):
-        if not (amask >> u) & 1:
-            continue
-        for v in grid.neighbors(u):
-            if (amask >> v) & 1:
-                add_edge(u + n, v)
-    for k in range(side):
-        if orientation == LR:
-            src, snk = grid.index(k, 0), grid.index(k, side - 1)
-        else:
-            src, snk = grid.index(0, k), grid.index(side - 1, k)
-        if (amask >> src) & 1:
-            add_edge(source, src)
-        if (amask >> snk) & 1:
-            add_edge(snk + n, sink)
-
-    # BFS augmenting paths; all capacities are 1 and the flow is <= side.
-    flow = 0
-    parent_edge = [-1] * nv
-    while True:
-        for i in range(nv):
-            parent_edge[i] = -1
-        parent_edge[source] = -2
-        queue = deque([source])
-        found = False
-        while queue and not found:
-            u = queue.popleft()
-            for eid in adj[u]:
-                v = head[eid]
-                if cap[eid] > 0 and parent_edge[v] == -1:
-                    parent_edge[v] = eid
-                    if v == sink:
-                        found = True
-                        break
-                    queue.append(v)
-        if not found:
-            return flow
-        v = sink
-        while v != source:
-            eid = parent_edge[v]
-            cap[eid] -= 1
-            cap[eid ^ 1] += 1
-            v = head[eid ^ 1]
-        flow += 1
+    counts = disjoint_path_counts(grid.side, alive.as_bool()[None, :], grid.side)
+    return int(counts[0, (LR, TB).index(orientation)])
 
 
 def mpath_live(side: int, r: int, alive: ElementSet) -> bool:
     """True iff the grid has >= r disjoint open paths in BOTH orientations."""
     if not 1 <= r <= side:
         raise ParameterError(f"need 1 <= r <= side, got r={r}, side={side}")
-    grid = TriGrid(side)
-    return (max_disjoint_paths(grid, alive, LR) >= r
-            and max_disjoint_paths(grid, alive, TB) >= r)
+    return bool((disjoint_path_counts(side, alive.as_bool()[None, :], r) >= r).all())
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import pytest
 
 import maskquorum as mq
 from maskquorum import ExplicitQuorumSystem, Rng, build
+from maskquorum import availability
 from maskquorum.availability import crash_profile
 from maskquorum.errors import ApplicabilityError, ParameterError, SizeError
-from maskquorum.paths import LR, connected_batch
+from maskquorum.paths import LR, TB, TriGrid, connected_batch
 
-from oracles import brute_crash_probability
+from oracles import brute_crash_probability, packing_disjoint_paths
 
 
 def exact(target, p):
@@ -17,8 +18,8 @@ def exact(target, p):
 
 
 def _slow_mpath(handle) -> bool:
-    # r >= 2 crossing-path systems enumerate via per-subset max-flow; their
-    # exact path is exercised once on the 3x3 grid instead of in every sweep.
+    # r >= 2 crossing-path systems enumerate through max-flow; their exact
+    # path is exercised once on the 3x3 grid instead of in every sweep.
     return isinstance(handle.spec, mq.MPathSpec) and handle.spec.r > 1
 
 
@@ -105,6 +106,21 @@ class TestCrashProbMc:
         one = mq.crash_prob_mc(handle, 0.4, trials=50_000, seed=3, workers=1)
         eight = mq.crash_prob_mc(handle, 0.4, trials=50_000, seed=3, workers=8)
         assert one.value == eight.value
+
+    def test_flow_backed_mpath_at_n64(self, monkeypatch):
+        # MPath(8,1) has r = 2 and n = 64, past the flood fill.  64 trials per
+        # chunk make two workers split the 300 trials between them.
+        monkeypatch.setattr(availability, "_MC_DOUBLES_PER_CHUNK", 64 * 64)
+        handle = build(mq.MPathSpec(8, 1))
+        p, trials, seed = 0.2, 300, 11
+        one = mq.crash_prob_mc(handle, p, trials=trials, seed=seed, workers=1)
+        two = mq.crash_prob_mc(handle, p, trials=trials, seed=seed, workers=2)
+        assert one.value == two.value
+        rejected = sum(
+            not handle.live(mq.sample_crash_set(64, p, Rng(seed).at(t)).complement())
+            for t in range(trials))
+        assert 0 < rejected < trials
+        assert one.value == rejected / trials
 
     def test_env_var_controls_workers(self, monkeypatch):
         handle = build(mq.ThresholdSpec(3, 2))
@@ -438,3 +454,13 @@ class TestMpathExact:
             if not mpath_live(3, 2, ElementSet(9, alive_mask)):
                 want[9 - alive_mask.bit_count()] += 1
         assert np.array_equal(crash_profile(handle), want)
+
+    def test_flow_backed_exact_matches_path_packing(self):
+        # Independent of the max-flow code: exhaustive path packing decides
+        # every one of the 512 alive sets of MPath(3,1).
+        grid = TriGrid(3)
+        want = np.zeros(10, dtype=np.int64)
+        for alive_mask in range(1 << 9):
+            if min(packing_disjoint_paths(grid, alive_mask, o) for o in (LR, TB)) < 2:
+                want[9 - alive_mask.bit_count()] += 1
+        assert np.array_equal(crash_profile(build(mq.MPathSpec(3, 1))), want)

@@ -234,6 +234,21 @@ class TestLivePredicate:
                 assert handle.live(alive) == bool(expected), name
 
 
+    @pytest.mark.parametrize("spec", [mq.MPathSpec(8, 1), mq.MPathSpec(32, 7)])
+    def test_mpath_flow_batch_equals_single_at_n_ge_64(self, spec):
+        handle = build(spec)
+        rng = np.random.default_rng(spec.side)
+        outcomes = set()
+        for p in (0.125, 0.4):
+            bits = rng.random((30, handle.n)) >= p
+            batch = handle.live_batch(bits)
+            for row, expected in zip(bits, batch):
+                alive = ElementSet.from_indices(handle.n, np.nonzero(row)[0])
+                assert handle.live(alive) == bool(expected), p
+            outcomes.update(batch.tolist())
+        assert outcomes == {True, False}
+
+
 class TestSampler:
     def test_mgrid_shape(self):
         handle = build(mq.MGridSpec(7, 3))

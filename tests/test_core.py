@@ -26,6 +26,13 @@ class TestElementSet:
         with pytest.raises(ParameterError):
             ElementSet.from_indices(3, [3])
 
+    def test_numpy_indices_past_bit_63(self):
+        # Shifting by a numpy int64 wraps at 64 bits; Python ints do not.
+        assert ElementSet.from_indices(64, np.array([63])).members() == (63,)
+        assert ElementSet.from_indices(70, np.array([64])).members() == (64,)
+        wide = ElementSet(70, (1 << 69) | 1)
+        assert np.nonzero(wide.as_bool())[0].tolist() == [0, 69]
+
     def test_universe_mismatch(self):
         with pytest.raises(ParameterError):
             ElementSet.full(3) | ElementSet.full(4)
