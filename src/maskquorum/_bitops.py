@@ -54,6 +54,11 @@ def unpack_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return bits[:, :n].astype(bool)
 
 
+def bools_to_int(bits: np.ndarray) -> int:
+    """The Python integer whose bit j is bits[j], for a 1-D boolean vector."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def iter_bits(mask: int):
     """Yield the indices of the set bits of a Python integer, ascending."""
     while mask:

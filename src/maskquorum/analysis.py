@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
+from ._bitops import iter_bits
 from .core import AccessStrategy, ElementSet, ExplicitQuorumSystem, SystemParams
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
 
@@ -60,7 +61,7 @@ def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     # covers[e] = bitmask (over quorum indices) of the quorums containing e.
     covers = [0] * n
     for qi, q in enumerate(masks):
-        for e in _bits(q):
+        for e in iter_bits(q):
             covers[e] |= 1 << qi
 
     # Greedy upper bound: repeatedly take the element hitting the most quorums.
@@ -88,7 +89,7 @@ def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
         # Branch on the first unhit quorum; try its elements in decreasing
         # order of how many still-unhit quorums they cover.
         qi = (remaining & -remaining).bit_length() - 1
-        elems = sorted(_bits(masks[qi]),
+        elems = sorted(iter_bits(masks[qi]),
                        key=lambda e: -(covers[e] & ~hit).bit_count())
         for e in elems:
             descend(hit | covers[e], chosen | (1 << e), depth + 1)
@@ -100,13 +101,6 @@ def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
 def min_transversal_size(sys: ExplicitQuorumSystem) -> int:
     """Exact smallest hitting-set size over the quorum list."""
     return _min_transversal(sys)[0]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def combinatorial_params(sys: ExplicitQuorumSystem) -> CombinatorialParams:
@@ -199,7 +193,7 @@ def is_fair(sys: ExplicitQuorumSystem) -> Fairness:
         return Fairness(ok=False)
     degrees = [0] * sys.n
     for q in masks:
-        for e in _bits(q):
+        for e in iter_bits(q):
             degrees[e] += 1
     if len(set(degrees)) != 1:
         return Fairness(ok=False)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._bitops import ceil_sqrt, popcount, unpack_masks
-from .constructions import QuorumSystemHandle, _require_prime
+from .constructions import QuorumSystemHandle, ThresholdSpec, _require_prime
 from .core import ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
 
@@ -34,7 +34,9 @@ __all__ = [
 
 EXACT_MAX_N = 25
 _ENUM_CHUNK = 1 << 20
-_MC_DOUBLES_PER_CHUNK = 1 << 22
+# Raw draws per Monte Carlo chunk: 2 MB of words and 256 KB of crash
+# indicators, small enough to stay in cache (256 trials at n = 1024).
+_MC_DOUBLES_PER_CHUNK = 1 << 18
 THREADS_ENV_VAR = "MASKQUORUM_THREADS"
 
 
@@ -147,8 +149,9 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
 
     Trial t derives its crash set from raw draws [t*n, (t+1)*n) of the
     counter-based stream keyed by ``seed`` (exactly sample_crash_set on
-    Rng(seed).at(t)), so the estimate is a pure function of (seed, p, trials):
-    chunking and the worker count cannot change it.  ``workers`` defaults to
+    Rng(seed).at(t): both compare the draws with ``Rng.crashed``), so the
+    estimate is a pure function of (seed, p, trials): chunking and the worker
+    count cannot change it.  ``workers`` defaults to
     the MASKQUORUM_THREADS environment variable, then the CPU count.
     """
     _check_probability(p)
@@ -161,8 +164,7 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
 
     def crashed_in(bounds: tuple[int, int]) -> int:
         t0, t1 = bounds
-        u = rng.uniform_draws(t0 * n, (t1 - t0) * n).reshape(t1 - t0, n)
-        alive = u >= p
+        alive = ~rng.crashed(t0 * n, (t1 - t0) * n, p).reshape(t1 - t0, n)
         return int((~handle.live_batch(alive)).sum())
 
     ranges = [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
@@ -207,13 +209,6 @@ def fp_lower_bounds(params: SystemParams, p: float) -> FpLowerBounds:
 # Threshold blocks and recursive-threshold crash probability
 # ---------------------------------------------------------------------------
 
-def _check_threshold_pair(k: int, ell: int) -> None:
-    if k == 1 and ell == 1:
-        return
-    if not (k > ell > k / 2):
-        raise ParameterError(f"threshold requires k > ell > k/2, got k={k}, ell={ell}")
-
-
 class ThresholdG(NamedTuple):
     exact: float
     lemma_upper: float
@@ -225,7 +220,7 @@ def threshold_g(k: int, ell: int, p: float) -> ThresholdG:
     exact: probability of at least k-ell+1 crashes among k servers.
     lemma_upper: C(k, ell-1) * p^(k-ell+1), clamped to 1.
     """
-    _check_threshold_pair(k, ell)
+    ThresholdSpec(k, ell)
     _check_probability(p)
     d = k - ell + 1
     exact = sum(math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(d, k + 1))
@@ -238,7 +233,7 @@ def rt_fp_recurrence(k: int, ell: int, h: int, p: float) -> float:
     of the block's crash function starting from p."""
     if h < 0:
         raise ParameterError(f"depth must be >= 0, got {h}")
-    _check_threshold_pair(k, ell)
+    ThresholdSpec(k, ell)
     _check_probability(p)
     value = p
     for _ in range(h):
@@ -262,7 +257,7 @@ def rt_critical_probability(k: int, ell: int, tol: float = 1e-10) -> CriticalPro
         raise ParameterError(f"tolerance must be positive, got {tol}")
     if k == ell:
         raise ParameterError("degenerate block has no interior fixed point")
-    _check_threshold_pair(k, ell)
+    ThresholdSpec(k, ell)
 
     def gap(x: float) -> float:
         return threshold_g(k, ell, x).exact - x
@@ -286,7 +281,7 @@ def rt_fp_upper(k: int, ell: int, h: int, p: float) -> float:
     p >= 1/C(k, ell-1))."""
     if h < 0:
         raise ParameterError(f"depth must be >= 0, got {h}")
-    _check_threshold_pair(k, ell)
+    ThresholdSpec(k, ell)
     _check_probability(p)
     base = math.comb(k, ell - 1) * p
     if base >= 1.0:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Union
 
 import numpy as np
 
-from ._bitops import ceil_sqrt, iter_bits, pack_rows
+from ._bitops import bools_to_int, ceil_sqrt, iter_bits, pack_rows
 from .composition import compose_params
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ParameterError, SizeError, UnsupportedOrderError
@@ -281,7 +282,7 @@ class ThresholdHandle(QuorumSystemHandle):
             n=k, c=ell, i_min=2 * ell - k, a_min=k - ell + 1, load=ell / k)
 
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
-        return alive.sum(axis=1) >= self.spec.ell
+        return alive.sum(axis=1, dtype=np.min_scalar_type(self.spec.k)) >= self.spec.ell
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
         picks = gen.choice(self.spec.k, self.spec.ell, replace=False)
@@ -295,12 +296,15 @@ class ThresholdHandle(QuorumSystemHandle):
             yield sum(1 << i for i in subset)
 
 
-def _row_masks(side: int) -> list[int]:
-    return [((1 << side) - 1) << (i * side) for i in range(side)]
+@lru_cache(maxsize=16)
+def _row_masks(side: int) -> tuple[int, ...]:
+    return tuple(((1 << side) - 1) << (i * side) for i in range(side))
 
 
-def _col_masks(side: int) -> list[int]:
-    return [sum(1 << (i * side + j) for i in range(side)) for j in range(side)]
+@lru_cache(maxsize=16)
+def _col_masks(side: int) -> tuple[int, ...]:
+    first = sum(1 << (i * side) for i in range(side))
+    return tuple(first << j for j in range(side))
 
 
 def _iter_row_col_unions(side: int, g: int) -> Iterator[int]:
@@ -371,25 +375,31 @@ class RTHandle(QuorumSystemHandle):
             a_min=(k - ell + 1) ** h, load=(ell / k) ** h)
 
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
+        # Count the alive children of each node by adding the k child slices
+        # as small unsigned integers: .sum() would widen every byte to int64.
         k, ell = self.spec.k, self.spec.ell
-        x = alive
+        count_type = np.min_scalar_type(k)
+        x = np.asarray(alive, dtype=bool).view(np.uint8)
         for _ in range(self.spec.h):
-            x = x.reshape(len(alive), -1, k).sum(axis=2) >= ell
-        return x[:, 0]
+            children = x.reshape(len(alive), -1, k)
+            count = np.add(children[:, :, 0], children[:, :, 1], dtype=count_type)
+            for c in range(2, k):
+                count += children[:, :, c]
+            x = (count >= ell).view(np.uint8)
+        return x[:, 0].view(bool)
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
+        # Level by level, each node keeps a uniform ell-subset of its k
+        # children (the first ell of a random permutation); child c of node v
+        # is node v*k + c one level down, and the last level holds the leaves.
         k, ell = self.spec.k, self.spec.ell
-
-        def rec(depth: int, base: int) -> int:
-            if depth == 0:
-                return 1 << base
-            width = k ** (depth - 1)
-            mask = 0
-            for child in gen.choice(k, ell, replace=False):
-                mask |= rec(depth - 1, base + int(child) * width)
-            return mask
-
-        return rec(self.spec.h, 0)
+        nodes = np.zeros(1, dtype=np.int64)
+        for _ in range(self.spec.h):
+            picks = gen.random((len(nodes), k)).argsort(axis=1)[:, :ell]
+            nodes = (nodes[:, None] * k + picks).ravel()
+        leaves = np.zeros(self.params.n, dtype=bool)
+        leaves[nodes] = True
+        return bools_to_int(leaves)
 
     def quorum_count(self) -> int:
         k, ell = self.spec.k, self.spec.ell
@@ -452,6 +462,7 @@ class FPPHandle(QuorumSystemHandle):
         n = q * q + q + 1
         self.params = SystemParams.derive(n=n, c=q + 1, i_min=1, a_min=q + 1, load=(q + 1) / n)
         self._lines: list[int] | None = None
+        self._points: np.ndarray | None = None
 
     def _line_masks(self) -> list[int]:
         if self._lines is None:
@@ -459,11 +470,9 @@ class FPPHandle(QuorumSystemHandle):
         return self._lines
 
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
-        ok = np.zeros(len(alive), dtype=bool)
-        for mask in self._line_masks():
-            idx = list(iter_bits(mask))
-            ok |= alive[:, idx].all(axis=1)
-        return ok
+        if self._points is None:  # the q+1 points of each line, one row per line
+            self._points = np.array([list(iter_bits(m)) for m in self._line_masks()])
+        return alive[:, self._points].all(axis=2).any(axis=1)
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
         lines = self._line_masks()

@@ -9,12 +9,13 @@ function of (seed, t) no matter how trials are chunked or parallelised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._bitops import iter_bits
+from ._bitops import bools_to_int, iter_bits
 from .errors import ParameterError
 
 __all__ = [
@@ -253,13 +254,21 @@ _DRAWS_PER_BLOCK = 4
 _STREAM_BASE_BLOCK = 1 << 96
 
 
+def _crash_cut(p: float) -> int:
+    """The integer c with raw < c iff (raw >> 11) * 2^-53 < p, for any uint64 raw."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"crash probability must be in [0,1], got {p}")
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
 @dataclass(frozen=True)
 class Rng:
     """Counter-based randomness: every draw is a pure function of (seed, position).
 
     ``at(t)`` selects the per-trial stream t; ``uniform_draws`` exposes the
     flat raw layout used by vectorised Monte Carlo so that evaluation order
-    and chunking cannot change any result.
+    and chunking cannot change any result, and ``crashed`` compares the same
+    draws with a crash probability without converting them to doubles.
     """
 
     seed: int
@@ -270,16 +279,31 @@ class Rng:
             raise ParameterError("trial index must be non-negative")
         return Rng(self.seed, trial)
 
-    def uniform_draws(self, start: int, count: int) -> np.ndarray:
-        """Uniform [0,1) doubles for raw draws [start, start+count)."""
+    def _raw_draws(self, start: int, count: int) -> np.ndarray:
+        """Raw uint64 Philox words [start, start+count) of this seed's stream."""
         if start < 0 or count < 0:
             raise ParameterError("draw range must be non-negative")
-        if count == 0:
-            return np.empty(0)
         block, offset = divmod(start, _DRAWS_PER_BLOCK)
         bg = np.random.Philox(key=self.seed & _MASK64, counter=block)
-        raw = bg.random_raw(offset + count)[offset:]
-        return (raw >> 11) * (2.0 ** -53)
+        return bg.random_raw(offset + count)[offset:]
+
+    def uniform_draws(self, start: int, count: int) -> np.ndarray:
+        """Uniform [0,1) doubles for raw draws [start, start+count)."""
+        return (self._raw_draws(start, count) >> 11) * (2.0 ** -53)
+
+    def crashed(self, start: int, count: int, p: float) -> np.ndarray:
+        """Crash indicators for raw draws [start, start+count), exactly
+        ``uniform_draws(start, count) < p`` but compared as integers.
+
+        A draw is (raw >> 11) * 2^-53, so it is below p iff raw >> 11 is below
+        ceil(p * 2^53), that is iff raw < ceil(p * 2^53) << 11; scaling by a
+        power of two is exact.  At p = 1 the cut is 2^64 and every draw crashes.
+        """
+        cut = _crash_cut(p)
+        raw = self._raw_draws(start, count)
+        if cut > _MASK64:
+            return np.ones(count, dtype=bool)
+        return raw < np.uint64(cut)
 
     def generator(self) -> np.random.Generator:
         """A numpy Generator on this stream's private counter region."""
@@ -293,10 +317,5 @@ def sample_crash_set(n: int, p: float, rng: Rng) -> ElementSet:
     The draw is a pure function of (rng.seed, rng.stream): stream t uses raw
     draws [t*n, (t+1)*n), the same layout as crash_prob_mc trial t.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"crash probability must be in [0,1], got {p}")
-    u = rng.uniform_draws(rng.stream * n, n)
-    mask = 0
-    for i in np.nonzero(u < p)[0]:
-        mask |= 1 << int(i)
-    return ElementSet(n, mask)
+    crashed = rng.crashed(rng.stream * n, n, p)
+    return ElementSet(n, bools_to_int(crashed))

@@ -248,6 +248,33 @@ class TestLivePredicate:
             outcomes.update(batch.tolist())
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("spec", [mq.RTSpec(3, 2, 3), mq.RTSpec(4, 3, 5),
+                                      mq.RTSpec(5, 3, 2)])
+    def test_rt_live_batch_matches_int64_sum(self, spec):
+        handle = build(spec)
+        rng = np.random.default_rng(spec.k * 10 + spec.h)
+        bits = rng.random((500, handle.n)) >= rng.uniform(0.1, 0.5, size=(500, 1))
+        got = handle.live_batch(bits)
+        assert got.dtype == bool
+        assert np.array_equal(got, _rt_live_reference(spec, bits))
+        assert set(got.tolist()) == {True, False}
+
+    @pytest.mark.parametrize("spec", [mq.RTSpec(300, 151, 1), mq.ThresholdSpec(300, 151)])
+    def test_live_batch_block_wider_than_a_byte(self, spec):
+        # 300 members: a uint8 count would wrap 300 to 44 and call it dead.
+        handle = build(spec)
+        alive = np.ones((2, 300), dtype=bool)
+        alive[1, 150:] = False
+        assert handle.live_batch(alive).tolist() == [True, False]
+
+
+def _rt_live_reference(spec, alive):
+    """The recursive-threshold predicate with int64 child counts."""
+    x = alive
+    for _ in range(spec.h):
+        x = x.reshape(len(alive), -1, spec.k).sum(axis=2) >= spec.ell
+    return x[:, 0]
+
 
 class TestSampler:
     def test_mgrid_shape(self):
@@ -284,6 +311,20 @@ class TestSampler:
         sigma = math.sqrt(draws * (1 / 3) * (2 / 3))
         for count in counts.values():
             assert abs(count - draws / 3) <= 3 * sigma
+
+    def test_rt_uniform_over_quorums(self):
+        handle = build(mq.RTSpec(3, 2, 2))
+        counts = dict.fromkeys(handle.iter_quorum_masks(), 0)
+        assert len(counts) == 27
+        gen = Rng(27).generator()
+        draws = 27_000
+        for _ in range(draws):
+            q = handle.sample_quorum(gen)
+            assert len(q) == 2 ** 2
+            counts[q.mask] += 1
+        sigma = math.sqrt(draws * (1 / 27) * (26 / 27))
+        for count in counts.values():
+            assert abs(count - draws / 27) <= 3 * sigma
 
     def test_samples_are_live_and_valid_quorums(self, handles):
         for name, handle in handles.items():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maskquorum as mq
-from maskquorum import ElementSet, ExplicitQuorumSystem, Rng
+from maskquorum import ElementSet, ExplicitQuorumSystem, Rng, core
 from maskquorum.errors import ParameterError
 
 masks_n8 = st.integers(min_value=0, max_value=255)
@@ -156,6 +156,45 @@ class TestRng:
 
     def test_seed_changes_draws(self):
         assert not np.array_equal(Rng(1).uniform_draws(0, 16), Rng(2).uniform_draws(0, 16))
+
+
+# Crash probabilities at the edges of the integer comparison: zero, the
+# smallest subnormal, the draw spacing, the paper's p, both sides of 1/2, a p
+# that is not a dyadic rational, the largest double below 1, and one.
+CUT_EDGES = [0.0, 5e-324, 2.0 ** -53, 0.125, float(np.nextafter(0.5, 0.0)), 0.5, 0.35,
+             1.0 - 2.0 ** -53, 1.0]
+
+
+class TestCrashedDraws:
+    @pytest.mark.parametrize("p", CUT_EDGES)
+    def test_equals_float_comparison(self, p):
+        rng = Rng(31337)
+        for start, count in [(0, 4096), (1, 999), (6, 17), (4099, 1000), (3, 0)]:
+            got = rng.crashed(start, count, p)
+            assert got.dtype == bool
+            assert np.array_equal(got, rng.uniform_draws(start, count) < p)
+
+    @pytest.mark.parametrize("p", CUT_EDGES)
+    def test_cut_at_the_boundary(self, p):
+        # Raw words next to the cut, which random draws almost never reach.
+        cut = core._crash_cut(p)
+        near = {cut + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)}
+        raw = np.array(sorted(r for r in near | {0, (1 << 64) - 1} if 0 <= r < 1 << 64),
+                       dtype=np.uint64)
+        as_float = (raw >> 11) * (2.0 ** -53) < p
+        assert np.array_equal(np.array([int(r) < cut for r in raw]), as_float)
+
+    @given(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 10 ** 6),
+           st.integers(0, 300))
+    def test_property(self, p, start, count):
+        rng = Rng(8)
+        assert np.array_equal(rng.crashed(start, count, p),
+                              rng.uniform_draws(start, count) < p)
+
+    def test_p_out_of_range(self):
+        for p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ParameterError):
+                Rng(0).crashed(0, 4, p)
 
 
 class TestSampleCrashSet:
