@@ -28,30 +28,28 @@ def popcount(masks: np.ndarray) -> np.ndarray:
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (T, n) boolean matrix into one unsigned integer mask per row.
+    """Pack a (T, n) boolean matrix into a (T, W) matrix of unsigned words.
 
-    Bit j of row t is bits[t, j]; n must be at most 64.  Returns uint32 for
-    n <= 32 and uint64 otherwise.
+    Bit j of row t is bit j % w of word j // w.  Words are one uint32 (w = 32)
+    for n <= 32 and ceil(n / 64) uint64 (w = 64) otherwise.
     """
     t, n = bits.shape
-    if n > 64:
-        raise ValueError("pack_rows supports at most 64 columns")
     width = 32 if n <= 32 else 64
-    padded = np.zeros((t, width), dtype=bool)
+    padded = np.zeros((t, -(-n // width) * width), dtype=bool)
     padded[:, :n] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
+    # Rows are whole words, so one flat packbits (faster than axis=1) packs each.
+    packed = np.packbits(padded.ravel(), bitorder="little")
     dtype = np.uint32 if width == 32 else np.uint64
-    return np.ascontiguousarray(packed).view(dtype).ravel()
+    return packed.view(dtype).reshape(t, padded.shape[1] // width)
 
 
 def unpack_masks(masks: np.ndarray, n: int) -> np.ndarray:
     """Expand integer masks into a (T, n) boolean matrix (bit j -> column j)."""
     bits = np.unpackbits(
-        np.ascontiguousarray(masks).view(np.uint8).reshape(len(masks), -1),
-        axis=1,
+        np.ascontiguousarray(masks).view(np.uint8),
         bitorder="little",
     )
-    return bits[:, :n].astype(bool)
+    return bits.reshape(len(masks), -1)[:, :n].astype(bool)
 
 
 def bools_to_int(bits: np.ndarray) -> int:

@@ -2,9 +2,11 @@
 
 The exact path enumerates all 2^n crash sets once, tallying how many crash
 sets of each cardinality kill the system; the crash probability at any p is
-then the exact polynomial sum(N_d * p^d * (1-p)^(n-d)).  Monte Carlo shares
-the same live predicate and uses counter-based randomness, so estimates are
-bit-identical for a given seed regardless of chunking or thread count.
+then the exact polynomial sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and
+Monte Carlo share one live predicate, ``live_batch`` on a (T, n) boolean
+matrix, for handles and explicit systems alike; Monte Carlo uses counter-based
+randomness, so estimates are bit-identical for a given seed regardless of
+chunking or thread count.
 """
 
 from __future__ import annotations
@@ -64,29 +66,13 @@ class EstimateResult:
 # Exact enumeration and Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _live_masks(target, masks: np.ndarray, n: int) -> np.ndarray:
-    """Live predicate over packed alive-masks, for explicit systems or handles."""
-    if isinstance(target, ExplicitQuorumSystem):
-        ok = np.zeros(len(masks), dtype=bool)
-        for q in target.quorum_masks():
-            qq = masks.dtype.type(q)
-            ok |= (masks & qq) == qq
-        return ok
-    fast = getattr(target, "live_packed_masks", None)
-    if fast is not None:
-        out = fast(masks)
-        if out is not None:
-            return out
-    return target.live_batch(unpack_masks(masks, n))
-
-
 def _profile_of(target) -> np.ndarray:
     n = target.n
     profile = np.zeros(n + 1, dtype=np.int64)
     total = 1 << n
     for start in range(0, total, _ENUM_CHUNK):
         masks = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
-        live = _live_masks(target, masks, n)
+        live = target.live_batch(unpack_masks(masks, n))
         alive_count = popcount(masks[~live])
         profile += np.bincount(n - alive_count, minlength=n + 1)
     return profile
@@ -153,6 +139,8 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
     estimate is a pure function of (seed, p, trials): chunking and the worker
     count cannot change it.  ``workers`` defaults to
     the MASKQUORUM_THREADS environment variable, then the CPU count.
+    Crossing-paths systems on max-flow (r >= 2 or n > 64) gain nothing from
+    more workers: scipy's ``maximum_flow`` holds the interpreter lock.
     """
     _check_probability(p)
     if trials < 1:

@@ -29,6 +29,7 @@ from .analysis import check_masking, combinatorial_params, is_fair, load_fair, l
 from .availability import (
     EXACT_MAX_N,
     EstimateResult,
+    _check_probability,
     boostfpp_fp_upper,
     crash_prob_exact,
     crash_prob_mc,
@@ -38,15 +39,13 @@ from .availability import (
     rt_critical_probability,
     rt_fp_upper,
 )
-from .composition import compose_explicit, compose_params
 from .constructions import (
     BoostFPPSpec,
-    ComposedSpec,
+    ComposedHandle,
     ConstructionSpec,
     MGridSpec,
     MPathSpec,
     RTSpec,
-    ThresholdSpec,
     build,
     spec_from_json,
     spec_to_json,
@@ -173,17 +172,10 @@ def _cmd_fp(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    outer = build(_load_spec(args.outer))
-    inner = build(_load_spec(args.inner))
-    composed = compose_params(outer.params, inner.params)
-    out: dict = {"params": composed.to_dict()}
-    explicit_count = sum(inner.quorum_count() ** s.bit_count()
-                         for s in outer.iter_quorum_masks()) \
-        if outer.quorum_count() <= args.materialize_cap else None
-    if explicit_count is not None and explicit_count <= args.materialize_cap:
-        system = compose_explicit(outer.materialize(args.materialize_cap),
-                                  inner.materialize(args.materialize_cap),
-                                  cap=args.materialize_cap)
+    composed = ComposedHandle(build(_load_spec(args.outer)), build(_load_spec(args.inner)))
+    out: dict = {"params": composed.params.to_dict()}
+    if composed.quorum_count() <= args.materialize_cap:
+        system = composed.materialize(args.materialize_cap)
         out["explicit"] = {
             "n": system.n,
             "quorum_count": system.m,
@@ -197,31 +189,19 @@ def _table8_rows(p: float, n: int) -> list[dict]:
     if n != 1024:
         raise ParameterError(
             "the published comparison is defined for n=1024 only")
+    # _construction_bounds reports a bad p as inapplicable; reject it here.
+    _check_probability(p)
     specs = [
-        ("MGrid", MGridSpec(side=32, b=15), "lower"),
-        ("RT", RTSpec(k=4, ell=3, h=5), "upper"),
-        ("BoostFPP", BoostFPPSpec(q=3, b=19), "upper"),
-        ("MPath", MPathSpec(side=32, b=7), "upper"),
+        ("MGrid", MGridSpec(side=32, b=15), "lower", "mgrid_fp_lower"),
+        ("RT", RTSpec(k=4, ell=3, h=5), "upper", "rt_fp_upper"),
+        ("BoostFPP", BoostFPPSpec(q=3, b=19), "upper", "boostfpp_fp_upper"),
+        ("MPath", MPathSpec(side=32, b=7), "upper", "mpath_fp_upper"),
     ]
     published_point = p == 0.125
+    p_prime = 1.0 / 7.0 if published_point else None
     rows = []
-    for tag, spec, kind in specs:
+    for tag, spec, kind, bound in specs:
         params = build(spec).params
-        if tag == "MGrid":
-            value = mgrid_fp_lower(spec.side, p)
-        elif tag == "RT":
-            value = rt_fp_upper(spec.k, spec.ell, spec.h, p)
-        elif tag == "BoostFPP":
-            try:
-                value = boostfpp_fp_upper(spec.q, spec.b, p).paper_form
-            except ApplicabilityError:
-                value = None
-        else:
-            p_prime = 1.0 / 7.0 if published_point else (p + 1.0 / 3.0) / 2.0
-            try:
-                value = mpath_fp_upper(spec.side, spec.b, p, p_prime)
-            except ApplicabilityError:
-                value = None
         rows.append({
             "system": "-".join([tag] + [str(v) for v in spec.__dict__.values()]),
             "n": params.n,
@@ -229,7 +209,7 @@ def _table8_rows(p: float, n: int) -> list[dict]:
             "f": params.f,
             "load": _fmt6(params.load),
             "fp_kind": kind,
-            "fp_value": None if value is None else _fmt6(value),
+            "fp_value": _construction_bounds(spec, p, p_prime).get(bound),
             "paper_value": _PAPER_TABLE[tag] if published_point else None,
         })
     return rows
@@ -281,20 +261,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     rng = Rng(args.seed)
     gen = rng.generator()
-    masks = system.quorum_masks()
     n = system.n
     trials = 200
     probs = np.array([0.2, 0.5, 0.8])[np.arange(trials) % 3]
     alive = gen.random((trials, n)) >= probs[:, None]
     handle_live = handle.live_batch(alive)
-    for trial in range(trials):
-        alive_mask = 0
-        for i in np.nonzero(alive[trial])[0]:
-            alive_mask |= 1 << int(i)
-        explicit_live = any(q & ~alive_mask == 0 for q in masks)
-        if explicit_live and not handle_live[trial]:
+    explicit_live = system.live_batch(alive)
+    for trial in np.flatnonzero(handle_live != explicit_live):
+        if explicit_live[trial]:
             mismatches.append(f"live: quorum alive but handle dead (trial {trial})")
-        if handle_live[trial] and not explicit_live and not isinstance(spec, MPathSpec):
+        elif not isinstance(spec, MPathSpec):
             mismatches.append(f"live: handle alive but no quorum alive (trial {trial})")
     quorums = np.array([handle.sample_quorum(gen).as_bool() for _ in range(100)])
     if not handle.live_batch(quorums).all():

@@ -9,7 +9,9 @@ oracle; compose_params is the parameter algebra.
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterable, Iterator, Sequence
 
+from ._bitops import iter_bits
 from .core import ExplicitQuorumSystem, SystemParams
 from .errors import SizeError
 
@@ -30,17 +32,22 @@ def compose_explicit(outer: ExplicitQuorumSystem, inner: ExplicitQuorumSystem,
     count = sum(inner.m ** len(q) for q in outer.quorums)
     if count > cap:
         raise SizeError(f"composition enumerates {count} quorums, exceeding the cap of {cap}")
-    n_r = inner.n
-    inner_masks = inner.quorum_masks()
-    composed: dict[int, None] = {}
-    for q in outer.quorums:
-        members = q.members()
+    composed = dict.fromkeys(
+        iter_composed_masks(outer.quorum_masks(), inner.quorum_masks(), inner.n))
+    return ExplicitQuorumSystem.from_masks(outer.n * inner.n, composed)
+
+
+def iter_composed_masks(outer_masks: Iterable[int], inner_masks: Sequence[int],
+                        n_inner: int) -> Iterator[int]:
+    """For each outer quorum in order, every union of one inner quorum per
+    member i, shifted into the block [i*n_inner, (i+1)*n_inner)."""
+    for s in outer_masks:
+        members = list(iter_bits(s))
         for choice in product(inner_masks, repeat=len(members)):
             mask = 0
             for i, inner_mask in zip(members, choice):
-                mask |= inner_mask << (i * n_r)
-            composed[mask] = None
-    return ExplicitQuorumSystem.from_masks(outer.n * inner.n, composed)
+                mask |= inner_mask << (i * n_inner)
+            yield mask
 
 
 def compose_params(outer: SystemParams, inner: SystemParams) -> SystemParams:

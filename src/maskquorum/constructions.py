@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Union
 
 import numpy as np
 
 from ._bitops import bools_to_int, ceil_sqrt, iter_bits, pack_rows
-from .composition import compose_params
+from .composition import compose_params, iter_composed_masks
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ParameterError, SizeError, UnsupportedOrderError
 from .paths import LR, TB, connected_batch, disjoint_path_counts
@@ -408,23 +408,14 @@ class RTHandle(QuorumSystemHandle):
             count = math.comb(k, ell) * count ** ell
         return count
 
-    def _masks(self, depth: int, base: int) -> list[int]:
-        if depth == 0:
-            return [1 << base]
-        k, ell = self.spec.k, self.spec.ell
-        width = k ** (depth - 1)
-        out = []
-        for subset in combinations(range(k), ell):
-            parts = [self._masks(depth - 1, base + c * width) for c in subset]
-            for combo in product(*parts):
-                m = 0
-                for piece in combo:
-                    m |= piece
-                out.append(m)
-        return out
-
     def iter_quorum_masks(self) -> Iterator[int]:
-        return iter(self._masks(self.spec.h, 0))
+        # Depth d + 1 is the ell-of-k threshold composed over depth d (k^d leaves).
+        block = ThresholdHandle(ThresholdSpec(self.spec.k, self.spec.ell))
+        masks = [1]
+        for depth in range(self.spec.h):
+            masks = list(iter_composed_masks(block.iter_quorum_masks(), masks,
+                                             self.spec.k ** depth))
+        return iter(masks)
 
 
 def fpp_lines(q: int) -> ExplicitQuorumSystem:
@@ -510,19 +501,12 @@ class ComposedHandle(QuorumSystemHandle):
         return mask
 
     def quorum_count(self) -> int:
-        m_inner = self.inner.quorum_count()
-        return sum(m_inner ** s.bit_count() for s in self.outer.iter_quorum_masks())
+        # Every quorum of every handle has exactly params.c members.
+        return self.outer.quorum_count() * self.inner.quorum_count() ** self.outer.params.c
 
     def iter_quorum_masks(self) -> Iterator[int]:
-        inner_masks = list(self.inner.iter_quorum_masks())
-        n_r = self.inner.n
-        for s in self.outer.iter_quorum_masks():
-            members = list(iter_bits(s))
-            for choice in product(inner_masks, repeat=len(members)):
-                mask = 0
-                for i, inner_mask in zip(members, choice):
-                    mask |= inner_mask << (i * n_r)
-                yield mask
+        return iter_composed_masks(self.outer.iter_quorum_masks(),
+                                   list(self.inner.iter_quorum_masks()), self.inner.n)
 
 
 class BoostFPPHandle(ComposedHandle):
@@ -561,15 +545,9 @@ class MPathHandle(QuorumSystemHandle):
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
         side, r = self.spec.side, self.spec.r
         if r == 1 and self.params.n <= 64:
-            return self.live_packed_masks(pack_rows(alive))
+            masks = pack_rows(alive)[:, 0]
+            return connected_batch(masks, side, LR) & connected_batch(masks, side, TB)
         return (disjoint_path_counts(side, alive, r) >= r).all(axis=1)
-
-    def live_packed_masks(self, masks: np.ndarray) -> np.ndarray | None:
-        """Bit-parallel live predicate over packed alive-masks (r = 1 only)."""
-        if self.spec.r != 1 or self.params.n > 64:
-            return None
-        side = self.spec.side
-        return connected_batch(masks, side, LR) & connected_batch(masks, side, TB)
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
         return _sample_row_col_union(self.spec.side, self.spec.r, gen)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._bitops import bools_to_int, iter_bits
+from ._bitops import bools_to_int, iter_bits, pack_rows
 from .errors import ParameterError
 
 __all__ = [
@@ -146,6 +146,18 @@ class ExplicitQuorumSystem:
 
     def quorum_masks(self) -> list[int]:
         return [q.mask for q in self.quorums]
+
+    def live_batch(self, alive: np.ndarray) -> np.ndarray:
+        """Vectorised live predicate on a (T, n) boolean matrix, for any n."""
+        if alive.ndim != 2 or alive.shape[1] != self.n:
+            raise ParameterError(
+                f"alive matrix has shape {alive.shape}, system needs (T, {self.n})")
+        words = pack_rows(alive)
+        live = np.zeros(len(alive), dtype=bool)
+        for quorum in self.quorums:
+            q = pack_rows(quorum.as_bool()[None, :])
+            live |= ((words & q) == q).all(axis=1)
+        return live
 
 
 @dataclass(frozen=True)

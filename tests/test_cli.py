@@ -16,6 +16,9 @@ def run_cli(capsys, *argv):
 
 
 THRESHOLD32 = '{"Threshold": {"k": 3, "ell": 2}}'
+# About 1.3e9 outer quorums: anything that walks them does not finish.
+LARGE_COMPOSED = ('{"Composed": {"outer": {"MGrid": {"side": 32, "b": 15}}, '
+                  '"inner": {"Threshold": {"k": 3, "ell": 2}}}}')
 
 
 class TestParams:
@@ -56,6 +59,11 @@ class TestLoad:
         payload = json.loads(out)
         assert payload["method"] == "analytic"
         assert payload["load"] == pytest.approx(240 / 1024, abs=1e-6)
+
+    def test_large_composed_is_analytic(self, capsys):
+        code, out, _ = run_cli(capsys, "load", LARGE_COMPOSED)
+        assert code == 0
+        assert json.loads(out)["method"] == "analytic"
 
 
 class TestFp:
@@ -131,6 +139,13 @@ class TestCompose:
         assert payload["params"]["n"] == 1001
         assert "explicit" not in payload
 
+    def test_large_composed_outer_gives_params_only(self, capsys):
+        code, out, _ = run_cli(capsys, "compose", LARGE_COMPOSED, THRESHOLD32)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["n"] == 1024 * 9
+        assert "explicit" not in payload
+
 
 class TestTable8:
     def test_csv_shape_and_values(self, capsys):
@@ -170,6 +185,11 @@ class TestTable8:
         code, _, err = run_cli(capsys, "table8", "--n", "512")
         assert code == 2
 
+    def test_bad_probability_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "table8", "--p", "1.5")
+        assert code == 2
+        assert "probability" in err
+
     def test_entry_point_matches_in_process(self, capsys):
         import os
 
@@ -208,3 +228,23 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", THRESHOLD32)
         assert code == 4
         assert "mismatch" in err
+
+    @pytest.mark.parametrize("reported, message", [
+        (False, "live: quorum alive but handle dead"),
+        (True, "live: handle alive but no quorum alive"),
+    ])
+    def test_live_mismatch_exits_4(self, capsys, monkeypatch, reported, message):
+        import numpy as np
+
+        def constant_live(self, alive):
+            return np.full(len(alive), reported)
+
+        monkeypatch.setattr(mq.constructions.ThresholdHandle, "live_batch", constant_live)
+        code, _, err = run_cli(capsys, "oracle", THRESHOLD32)
+        assert code == 4
+        assert f"oracle mismatch: {message} (trial " in err
+
+    def test_large_composed_exceeds_cap(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", LARGE_COMPOSED)
+        assert code == 3
+        assert "exceeding the cap" in err

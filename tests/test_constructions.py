@@ -345,6 +345,21 @@ class TestMaterialize:
         assert build(mq.FPPSpec(2)).quorum_count() == 7
         assert build(mq.RTSpec(4, 3, 2)).quorum_count() == 256
 
+    def test_count_equals_distinct_quorums(self, handles):
+        # ComposedHandle.quorum_count assumes every quorum of a handle has
+        # size params.c; the distinct enumerated quorums pin that premise.
+        t32 = mq.ThresholdSpec(3, 2)
+        composed = {
+            "FPP(2)oT(3,2)": mq.ComposedSpec(mq.FPPSpec(2), t32),
+            "T(3,2)oT(3,2)": mq.ComposedSpec(t32, t32),
+            "T(4,3)oT(3,2)": mq.ComposedSpec(mq.ThresholdSpec(4, 3), t32),
+        }
+        for name, handle in {**handles,
+                             **{k: build(v) for k, v in composed.items()}}.items():
+            masks = set(handle.iter_quorum_masks())
+            assert handle.quorum_count() == len(masks), name
+            assert {m.bit_count() for m in masks} == {handle.params.c}, name
+
     def test_threshold_4_3(self):
         system = build(mq.ThresholdSpec(4, 3)).materialize(10)
         assert system.m == 4

@@ -82,6 +82,47 @@ class TestExplicitQuorumSystem:
             ExplicitQuorumSystem(3, (ElementSet.full(4),))
 
 
+def _brute_live(system, alive):
+    masks = system.quorum_masks()
+    out = []
+    for row in alive:
+        alive_mask = sum(1 << int(i) for i in np.flatnonzero(row))
+        out.append(any(q & ~alive_mask == 0 for q in masks))
+    return np.array(out)
+
+
+class TestExplicitLiveBatch:
+    @staticmethod
+    def _alive(n, seed):
+        # Row t crashes each server with probability 0.05 .. 0.6, so both
+        # outcomes occur on every system below.
+        rng = np.random.default_rng(seed)
+        probs = np.linspace(0.05, 0.6, 300)
+        return rng.random((300, n)) >= probs[:, None]
+
+    @pytest.mark.parametrize("name", ["MGrid(4,1)", "RT(3,2,2)", "FPP(3)", "BoostFPP(2,1)"])
+    def test_matches_subset_check(self, materialized, name):
+        system = materialized[name]
+        alive = self._alive(system.n, 5)
+        got = system.live_batch(alive)
+        assert got.dtype == bool and got.shape == (len(alive),)
+        assert got.any() and not got.all(), name
+        np.testing.assert_array_equal(got, _brute_live(system, alive))
+
+    def test_past_one_word(self):
+        system = mq.build(mq.MGridSpec(9, 1)).materialize(10 ** 4)
+        assert system.n == 81
+        alive = self._alive(81, 6)
+        got = system.live_batch(alive)
+        assert got.any() and not got.all()
+        np.testing.assert_array_equal(got, _brute_live(system, alive))
+
+    def test_wrong_column_count(self, materialized):
+        system = materialized["FPP(2)"]
+        with pytest.raises(ParameterError):
+            system.live_batch(np.ones((3, system.n + 1), dtype=bool))
+
+
 class TestValidateExplicit:
     def test_triangle_majority_ok(self):
         sys = ExplicitQuorumSystem.from_masks(3, [0b011, 0b110, 0b101])
