@@ -1,8 +1,10 @@
 """The crossing-paths system: disjoint open paths on a triangulated grid.
 
 A quorum is r = ceil(sqrt(2b+1)) vertex-disjoint left-right paths plus r
-top-bottom paths.  Liveness reduces to counting disjoint open crossing paths,
-which node-splitting max-flow answers exactly.  Because crossing events only
+top-bottom paths.  Liveness reduces to counting disjoint open crossing paths.
+By Menger's theorem and the Hex theorem that count equals the fewest open
+cells on any crossing in the other orientation, which a bit-parallel fill
+over the grid's rows finds exactly.  Because crossing events only
 get more robust as the grid grows, the system stays available for any crash
 probability below the site-percolation threshold of the lattice.
 """

@@ -45,7 +45,7 @@ from .availability import (
     rt_fp_upper,
     threshold_g,
 )
-from .composition import compose_explicit, compose_handles, compose_params
+from .composition import compose_explicit, compose_params
 from .constructions import (
     BoostFPPSpec,
     ComposedSpec,

@@ -6,25 +6,10 @@ import math
 
 import numpy as np
 
-_POP16: np.ndarray | None = None
-
-
-def _pop16() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        counts = np.zeros(1 << 16, dtype=np.uint8)
-        for b in range(16):
-            counts[(np.arange(1 << 16) >> b) & 1 == 1] += 1
-        _POP16 = counts
-    return _POP16
-
 
 def popcount(masks: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint32 or uint64 array."""
-    table = _pop16()
-    masks = np.ascontiguousarray(masks)
-    halves = masks.view(np.uint16).reshape(masks.shape + (-1,))
-    return table[halves].sum(axis=-1, dtype=np.int64)
+    """Per-element population count of a uint32 or uint64 array, as int64."""
+    return np.bitwise_count(masks).astype(np.int64)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -139,8 +139,9 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
     estimate is a pure function of (seed, p, trials): chunking and the worker
     count cannot change it.  ``workers`` defaults to
     the MASKQUORUM_THREADS environment variable, then the CPU count.
-    Crossing-paths systems on max-flow (r >= 2 or n > 64) gain nothing from
-    more workers: scipy's ``maximum_flow`` holds the interpreter lock.
+    Crossing-paths systems gain nothing from more workers: their
+    dual-crossing fill runs as many short numpy calls, and the Python code
+    between them holds the interpreter lock.
     """
     _check_probability(p)
     if trials < 1:

@@ -147,11 +147,11 @@ def _cmd_fp(args: argparse.Namespace) -> int:
     handle = build(spec)
     p = args.p
     # Default mode: exact when the enumeration is tractable, Monte Carlo
-    # otherwise.  Crossing-path systems with r >= 2 evaluate liveness by
-    # batched max-flow, so auto-exact is limited to 2^16 subsets there;
-    # --exact still forces full enumeration.
-    flow_backed = isinstance(spec, MPathSpec) and spec.r > 1
-    auto_exact = handle.n <= (16 if flow_backed else EXACT_MAX_N)
+    # otherwise.  Crossing-path systems with r >= 2 count paths level by level,
+    # several times slower per subset than the r = 1 flood fill, so auto-exact
+    # is limited to 2^16 subsets there; --exact still forces full enumeration.
+    path_counted = isinstance(spec, MPathSpec) and spec.r > 1
+    auto_exact = handle.n <= (16 if path_counted else EXACT_MAX_N)
     use_exact = args.exact or (not args.mc and auto_exact)
     if use_exact:
         est = crash_prob_exact(handle, p)

@@ -15,7 +15,7 @@ from ._bitops import iter_bits
 from .core import ExplicitQuorumSystem, SystemParams
 from .errors import SizeError
 
-__all__ = ["compose_explicit", "compose_params", "compose_handles"]
+__all__ = ["compose_explicit", "compose_params", "iter_composed_masks"]
 
 DEFAULT_COMPOSE_CAP = 10 ** 6
 
@@ -63,10 +63,3 @@ def compose_params(outer: SystemParams, inner: SystemParams) -> SystemParams:
         a_min=outer.a_min * inner.a_min,
         load=outer.load * inner.load,
     )
-
-
-def compose_handles(outer, inner):
-    """Compose two construction handles; liveness evaluates recursively."""
-    from .constructions import ComposedHandle
-
-    return ComposedHandle(outer, inner)

@@ -19,11 +19,11 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from ._bitops import bools_to_int, ceil_sqrt, iter_bits, pack_rows
+from ._bitops import bools_to_int, ceil_sqrt, iter_bits
 from .composition import compose_params, iter_composed_masks
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ParameterError, SizeError, UnsupportedOrderError
-from .paths import LR, TB, connected_batch, disjoint_path_counts
+from .paths import disjoint_path_counts
 
 __all__ = [
     "MGridSpec", "ThresholdSpec", "RTSpec", "FPPSpec", "BoostFPPSpec",
@@ -237,13 +237,16 @@ class QuorumSystemHandle:
 
     def live(self, alive: ElementSet) -> bool:
         """True iff the alive set contains at least one complete quorum."""
-        if alive.n != self.params.n:
-            raise ParameterError(
-                f"alive set has universe {alive.n}, construction has {self.params.n}")
         return bool(self.live_batch(alive.as_bool()[None, :])[0])
 
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
         """Vectorised live predicate on a (T, n) boolean matrix."""
+        if alive.ndim != 2 or alive.shape[1] != self.params.n:
+            raise ParameterError(
+                f"alive matrix has shape {alive.shape}, construction needs (T, {self.params.n})")
+        return self._live_batch(alive)
+
+    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def sample_quorum(self, rng: Rng | np.random.Generator) -> ElementSet:
@@ -281,7 +284,7 @@ class ThresholdHandle(QuorumSystemHandle):
         self.params = SystemParams.derive(
             n=k, c=ell, i_min=2 * ell - k, a_min=k - ell + 1, load=ell / k)
 
-    def live_batch(self, alive: np.ndarray) -> np.ndarray:
+    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         return alive.sum(axis=1, dtype=np.min_scalar_type(self.spec.k)) >= self.spec.ell
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
@@ -347,7 +350,7 @@ class MGridHandle(QuorumSystemHandle):
         self.params = SystemParams.derive(
             n=n, c=c, i_min=2 * g * g - t * t, a_min=side - g + 1, load=c / n)
 
-    def live_batch(self, alive: np.ndarray) -> np.ndarray:
+    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         side, g = self.spec.side, self.spec.g
         grid = alive.reshape(len(alive), side, side)
         full_rows = grid.all(axis=2).sum(axis=1)
@@ -374,7 +377,7 @@ class RTHandle(QuorumSystemHandle):
             n=k ** h, c=ell ** h, i_min=(2 * ell - k) ** h,
             a_min=(k - ell + 1) ** h, load=(ell / k) ** h)
 
-    def live_batch(self, alive: np.ndarray) -> np.ndarray:
+    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         # Count the alive children of each node by adding the k child slices
         # as small unsigned integers: .sum() would widen every byte to int64.
         k, ell = self.spec.k, self.spec.ell
@@ -460,7 +463,7 @@ class FPPHandle(QuorumSystemHandle):
             self._lines = fpp_lines(self.spec.q).quorum_masks()
         return self._lines
 
-    def live_batch(self, alive: np.ndarray) -> np.ndarray:
+    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         if self._points is None:  # the q+1 points of each line, one row per line
             self._points = np.array([list(iter_bits(m)) for m in self._line_masks()])
         return alive[:, self._points].all(axis=2).any(axis=1)
@@ -486,7 +489,7 @@ class ComposedHandle(QuorumSystemHandle):
         self.spec = spec if spec is not None else ComposedSpec(outer.spec, inner.spec)
         self.params = compose_params(outer.params, inner.params)
 
-    def live_batch(self, alive: np.ndarray) -> np.ndarray:
+    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         t = len(alive)
         n_s, n_r = self.outer.n, self.inner.n
         copies = alive.reshape(t * n_s, n_r)
@@ -529,9 +532,9 @@ class MPathHandle(QuorumSystemHandle):
 
     Analytic parameters report the straight-path quorum size 2*r*side - r^2 and
     the crossing-argument intersection bound r^2.  Sampling and materialization
-    use straight rows/columns only.  Liveness uses the packed flood fill when
-    r = 1 and n <= 64, and otherwise the batched max-flow path count capped
-    at r.
+    use straight rows/columns only.  Liveness asks disjoint_path_counts for
+    both orientations' path counts capped at r: a dual-crossing fill on row
+    words (the packed flood fill when r = 1 and n <= 64).
     """
 
     def __init__(self, spec: MPathSpec):
@@ -542,12 +545,9 @@ class MPathHandle(QuorumSystemHandle):
         self.params = SystemParams.derive(
             n=n, c=c, i_min=r * r, a_min=side - r + 1, load=c / n)
 
-    def live_batch(self, alive: np.ndarray) -> np.ndarray:
-        side, r = self.spec.side, self.spec.r
-        if r == 1 and self.params.n <= 64:
-            masks = pack_rows(alive)[:, 0]
-            return connected_batch(masks, side, LR) & connected_batch(masks, side, TB)
-        return (disjoint_path_counts(side, alive, r) >= r).all(axis=1)
+    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
+        r = self.spec.r
+        return (disjoint_path_counts(self.spec.side, alive, r) >= r).all(axis=1)
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
         return _sample_row_col_union(self.spec.side, self.spec.r, gen)

@@ -1,14 +1,19 @@
 """Independent brute-force oracles used to validate the library's fast paths.
 
 Everything here is deliberately naive: depth-first path enumeration plus
-maximum set packing for disjoint-path counts, and a direct sum over all crash
-sets for crash probabilities.  None of it shares code with the implementations
-it checks.
+maximum set packing for disjoint-path counts, a unit-capacity max-flow on the
+node-split grid (Menger's theorem) for larger grids, and a direct sum over all
+crash sets for crash probabilities.  None of it shares code with the
+implementations it checks; only TriGrid's neighbour lists are borrowed.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from maskquorum.paths import TriGrid
 
@@ -57,6 +62,32 @@ def packing_disjoint_paths(grid: TriGrid, alive_mask: int, orientation: str) -> 
 
     rec(0, 0, 0)
     return best
+
+
+def menger_disjoint_paths(grid: TriGrid, alive: np.ndarray, orientation: str) -> int:
+    """Maximum number of vertex-disjoint open crossing paths of one alive row,
+    by unit-capacity max-flow on the node-split grid.
+
+    Vertex v becomes an edge from v_in = v to v_out = n + v of capacity 1 when
+    v is alive (left out when dead); grid adjacency becomes v_out -> w_in
+    edges, the source 2n feeds the in-nodes of the start side and the
+    out-nodes of the end side feed the sink 2n + 1.
+    """
+    side, n = grid.side, grid.n
+    if orientation == "LR":
+        starts = [grid.index(k, 0) for k in range(side)]
+        ends = [grid.index(k, side - 1) for k in range(side)]
+    else:
+        starts = [grid.index(0, k) for k in range(side)]
+        ends = [grid.index(side - 1, k) for k in range(side)]
+    source, sink = 2 * n, 2 * n + 1
+    edges = [(v, n + v) for v in range(n) if alive[v]]
+    edges += [(n + v, w) for v in range(n) for w in grid.neighbors(v)]
+    edges += [(source, v) for v in starts] + [(n + v, sink) for v in ends]
+    tails, heads = np.array(edges).T
+    graph = csr_array((np.ones(len(edges), dtype=np.int32), (tails, heads)),
+                      shape=(2 * n + 2, 2 * n + 2))
+    return int(maximum_flow(graph, source, sink).flow_value)
 
 
 def brute_crash_probability(n: int, quorum_masks: list[int], p: float) -> float:

@@ -18,7 +18,7 @@ def exact(target, p):
 
 
 def _slow_mpath(handle) -> bool:
-    # r >= 2 crossing-path systems enumerate through max-flow; their exact
+    # r >= 2 crossing-path systems enumerate through the dual fill; their exact
     # path is exercised once on the 3x3 grid instead of in every sweep.
     return isinstance(handle.spec, mq.MPathSpec) and handle.spec.r > 1
 
@@ -444,7 +444,7 @@ class TestMpathExact:
             assert value >= bounds.p_c2f - 1e-12
 
     def test_flow_backed_exact_on_3x3(self):
-        # The r = 2 exact path runs per-subset max-flow; cross-check the whole
+        # The r = 2 exact path runs the batched dual fill; cross-check the whole
         # profile against a direct loop over the live predicate.
         handle = build(mq.MPathSpec(3, 1))
         from maskquorum import ElementSet
@@ -456,7 +456,7 @@ class TestMpathExact:
         assert np.array_equal(crash_profile(handle), want)
 
     def test_flow_backed_exact_matches_path_packing(self):
-        # Independent of the max-flow code: exhaustive path packing decides
+        # Independent of the dual-fill code: exhaustive path packing decides
         # every one of the 512 alive sets of MPath(3,1).
         grid = TriGrid(3)
         want = np.zeros(10, dtype=np.int64)

@@ -127,12 +127,6 @@ class TestCompositionTheorem:
                 mq.crash_prob_exact(explicit, p).value, abs=1e-12)
 
 
-def test_compose_handles_wrapper():
-    handle = mq.compose_handles(build(mq.ThresholdSpec(3, 2)), build(mq.ThresholdSpec(3, 2)))
-    assert handle.params.n == 9
-    assert handle.params.c == 4
-
-
 def test_composition_is_associative(components):
     # The block numbering makes ((i, j), k) and (i, (j, k)) the same index,
     # so both associations enumerate identical quorum masks.

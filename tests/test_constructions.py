@@ -194,6 +194,14 @@ class TestLivePredicate:
         with pytest.raises(ParameterError):
             handles["Threshold(3,2)"].live(ElementSet.full(5))
 
+    @pytest.mark.parametrize("spec, shape", [
+        (mq.ThresholdSpec(3, 2), (2, 5)), (mq.RTSpec(3, 2, 2), (2, 27)),
+        (mq.MGridSpec(4, 1), (2, 15)), (mq.MGridSpec(4, 1), (2, 17)),
+        (mq.ThresholdSpec(3, 2), (3,))])
+    def test_live_batch_rejects_wrong_shape(self, spec, shape):
+        with pytest.raises(ParameterError, match="alive matrix has shape"):
+            build(spec).live_batch(np.ones(shape, dtype=bool))
+
     def test_live_iff_some_quorum_alive(self, handles, materialized):
         # 1000 random alive sets per construction; for the crossing-paths
         # system the implication is one-sided (straight quorum => live).

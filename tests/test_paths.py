@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from maskquorum import ElementSet
 from maskquorum.errors import ParameterError
-from maskquorum.paths import LR, TB, TriGrid, connected_batch, max_disjoint_paths, mpath_live
+from maskquorum.paths import (LR, TB, TriGrid, connected_batch, disjoint_path_counts,
+                              max_disjoint_paths, mpath_live)
 
-from oracles import packing_disjoint_paths, simple_crossing_paths
+from oracles import menger_disjoint_paths, packing_disjoint_paths, simple_crossing_paths
 
 
 def eset(side, mask):
@@ -95,6 +96,74 @@ class TestMaxDisjointPaths:
             lo = max_disjoint_paths(g, eset(3, small), o)
             hi = max_disjoint_paths(g, eset(3, big), o)
             assert lo <= hi <= 3
+
+
+def _grids():
+    """(side, side*side booleans) pairs: one alive row of a grid of side 2-9."""
+    return st.integers(2, 9).flatmap(lambda s: st.tuples(
+        st.just(s), st.lists(st.booleans(), min_size=s * s, max_size=s * s)))
+
+
+class TestDisjointPathCounts:
+    @pytest.mark.parametrize("side", [5, 8, 16, 32, 65, 70])
+    def test_matches_menger_max_flow(self, side):
+        # Sides 65 and 70 need two words per row, so the fill carries
+        # between the words of one row.
+        g = TriGrid(side)
+        rng = np.random.default_rng(side)
+        for p in (0.125, 0.35, 0.5):
+            alive = rng.random((4, g.n)) >= p
+            want = np.array([[menger_disjoint_paths(g, row, o) for o in (LR, TB)]
+                             for row in alive])
+            for cap in (1, 2, 4, side):
+                got = disjoint_path_counts(side, alive, cap)
+                assert np.array_equal(got, np.minimum(want, cap)), (p, cap)
+
+    def test_dead_anti_diagonal_blocks_both_orientations_at_side_70(self):
+        side = 70
+        alive = np.ones((side, side), dtype=bool)
+        alive[np.arange(side), side - 1 - np.arange(side)] = False
+        for cap in (1, 2, side):
+            got = disjoint_path_counts(side, alive.reshape(1, -1), cap)
+            assert got.tolist() == [[0, 0]]
+        assert disjoint_path_counts(side, np.ones((1, side * side), bool), side).tolist() == \
+            [[side, side]]
+
+    def test_dead_step_across_the_word_boundary_at_side_70(self):
+        # Dead cells down column 0 to row 35, right along row 35, down column
+        # 69: the only dead TB crossing steps from column 63 to column 64.
+        side = 70
+        alive = np.ones((side, side), dtype=bool)
+        alive[:36, 0] = alive[35, :] = alive[35:, -1] = False
+        for cap in (1, 3):
+            got = disjoint_path_counts(side, alive.reshape(1, -1), cap)
+            assert got.tolist() == [[0, 0]]
+
+    def test_empty_batch(self):
+        assert disjoint_path_counts(6, np.ones((0, 36), bool), 3).shape == (0, 2)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ParameterError):
+            disjoint_path_counts(0, np.ones((1, 0), bool), 1)
+        with pytest.raises(ParameterError):
+            disjoint_path_counts(3, np.ones((1, 8), bool), 1)
+        with pytest.raises(ParameterError):
+            disjoint_path_counts(3, np.ones((1, 9), bool), 0)
+
+    @given(_grids(), st.integers(1, 9))
+    def test_capped_count_is_min_of_full_count_and_cap(self, grid, cap):
+        side, cells = grid
+        alive = np.array([cells])
+        full = disjoint_path_counts(side, alive, side)
+        assert np.array_equal(disjoint_path_counts(side, alive, cap), np.minimum(full, cap))
+
+    @given(_grids(), st.integers(1, 9))
+    def test_transpose_swaps_orientations(self, grid, cap):
+        side, cells = grid
+        alive = np.array(cells).reshape(side, side)
+        got = disjoint_path_counts(side, alive.reshape(1, -1), cap)
+        flipped = disjoint_path_counts(side, alive.T.reshape(1, -1), cap)
+        assert np.array_equal(got[:, ::-1], flipped)
 
 
 class TestMpathLive:
