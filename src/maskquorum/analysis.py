@@ -1,22 +1,28 @@
 """Oracle-grade combinatorial analysis of explicit quorum systems.
 
 Everything here is exact: smallest quorum, smallest pairwise intersection,
-smallest transversal (branch-and-bound hitting set), masking verification
-straight from the definitions, fairness, and the exact load via linear
-programming, together with the masking-load lower bounds.
+smallest transversal, masking verification straight from the definitions,
+fairness, and the exact load via linear programming, together with the
+masking-load lower bounds.
+
+Pairwise intersections come from one blocked popcount kernel over the
+system's packed quorum words (``_bitops.pair_intersections``).  The smallest
+transversal is a pruned branch and bound (``_search_transversal``), run at
+most once per system object: combinatorial_params, masking_level and
+check_masking share its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import sqrt
+from math import ceil, sqrt
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._bitops import iter_bits
+from ._bitops import NO_PAIR, pair_intersections, unpack_masks
 from .core import AccessStrategy, ElementSet, ExplicitQuorumSystem, SystemParams
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
 
@@ -40,62 +46,87 @@ class CombinatorialParams(NamedTuple):
     a_min: int
 
 
-def _min_pairwise_intersection(masks: list[int]) -> int:
-    if len(masks) == 1:
-        # Degenerate single-quorum system: report the quorum size itself.
-        return masks[0].bit_count()
-    return min((a & b).bit_count() for a, b in combinations(masks, 2))
+def _smallest_pair(sys: ExplicitQuorumSystem) -> tuple[int, int, int] | None:
+    """(size, i, j) of a smallest intersection over quorum pairs i < j, the
+    first such pair in (i, j) order; None for a single-quorum system."""
+    best = None
+    for i0, sizes in pair_intersections(sys.quorum_words):
+        k, j = np.unravel_index(np.argmin(sizes), sizes.shape)
+        if sizes[k, j] != NO_PAIR and (best is None or sizes[k, j] < best[0]):
+            best = (int(sizes[k, j]), i0 + int(k), int(j))
+    return best
 
 
 def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
-    """Exact minimum hitting set: (size, element bitmask) by branch and bound."""
+    """Exact minimum hitting set: (size, element bitmask).
+
+    Searched once per system object and kept on it, so that
+    combinatorial_params, masking_level and check_masking share one search.
+    """
     if sys.m == 0:
         raise ParameterError("empty quorum system")
     if sys.n > A_MIN_MAX_N and sys.m > A_MIN_MAX_QUORUMS:
         raise SizeError(
             f"minimum transversal needs n <= {A_MIN_MAX_N} or quorum count <= "
             f"{A_MIN_MAX_QUORUMS}; got n={sys.n}, m={sys.m}")
-    n, masks = sys.n, sys.quorum_masks()
-    m = len(masks)
-    all_hit = (1 << m) - 1
-    # covers[e] = bitmask (over quorum indices) of the quorums containing e.
-    covers = [0] * n
-    for qi, q in enumerate(masks):
-        for e in iter_bits(q):
-            covers[e] |= 1 << qi
+    memo = sys.__dict__
+    if "_min_transversal" not in memo:
+        memo["_min_transversal"] = _search_transversal(sys)
+    return memo["_min_transversal"]
 
-    # Greedy upper bound: repeatedly take the element hitting the most quorums.
-    hit = 0
-    greedy = 0
-    best_size = 0
-    while hit != all_hit:
-        e = max(range(n), key=lambda x: (covers[x] & ~hit).bit_count())
-        hit |= covers[e]
-        greedy |= 1 << e
-        best_size += 1
-    best_set = greedy
 
-    max_degree = max(c.bit_count() for c in covers)
+def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
+    """Branch and bound for the smallest set of elements meeting every quorum.
 
-    def descend(hit: int, chosen: int, depth: int) -> None:
-        nonlocal best_size, best_set
-        remaining = all_hit & ~hit
-        if remaining == 0:
-            if depth < best_size:
-                best_size, best_set = depth, chosen
-            return
-        if depth + -(-remaining.bit_count() // max_degree) >= best_size:
-            return
-        # Branch on the first unhit quorum; try its elements in decreasing
-        # order of how many still-unhit quorums they cover.
-        qi = (remaining & -remaining).bit_length() - 1
-        elems = sorted(iter_bits(masks[qi]),
-                       key=lambda e: -(covers[e] & ~hit).bit_count())
-        for e in elems:
-            descend(hit | covers[e], chosen | (1 << e), depth + 1)
+    Quorum sets are 0/1 float vectors over the quorum list, so one product
+    with the (n, m) incidence matrix gives every element's gain (the unhit
+    quorums it meets), exactly.  The greedy cover is the first bound.
+    """
+    incidence = unpack_masks(sys.quorum_words, sys.n).T.astype(np.float64)
+    unhit = np.ones(sys.m)
+    greedy: list[int] = []
+    while unhit.any():
+        e = int(np.argmax(incidence @ unhit))
+        greedy.append(e)
+        unhit = unhit * (incidence[e] == 0)
+    best = _descend(incidence, np.ones(sys.m), incidence.sum(axis=0),
+                    np.zeros(sys.n, dtype=bool), [], greedy)
+    return len(best), sum(1 << e for e in best)
 
-    descend(0, 0, 0)
-    return best_size, best_set
+
+def _descend(incidence: np.ndarray, unhit: np.ndarray, allowed: np.ndarray,
+             banned: np.ndarray, chosen: list[int], best: list[int]) -> list[int]:
+    """The smallest cover extending ``chosen`` without banned elements, if it
+    is smaller than ``best``; otherwise ``best``.
+
+    Branches on the unhit quorum with the fewest allowed elements (allowed[q]
+    counts them), taking its elements in decreasing order of gain.  After the
+    branch that takes element e returns, e is banned in the later sibling
+    branches, so each hitting set is reached in one order only; a quorum
+    whose elements are all banned cannot be hit, and its node has no
+    branches.  A node is pruned when ceil(unhit / best gain of an allowed
+    element) more elements cannot beat ``best``.
+    """
+    left = unhit.sum()
+    if left == 0:
+        return chosen if len(chosen) < len(best) else best
+    gains = incidence @ unhit
+    gains[banned] = 0.0
+    top = gains.max()
+    if top == 0 or len(chosen) + ceil(left / top) >= len(best):
+        return best
+    # Hit quorums score above any allowed count, so argmin picks an unhit one.
+    q = int(np.argmin(allowed + (len(banned) + 1.0) * (1.0 - unhit)))
+    elems = np.flatnonzero((incidence[:, q] == 1) & ~banned)
+    banned = banned.copy()
+    for e in elems[np.argsort(-gains[elems], kind="stable")]:
+        best = _descend(incidence, unhit * (incidence[e] == 0), allowed, banned,
+                        chosen + [int(e)], best)
+        if len(chosen) + 1 >= len(best):
+            break
+        banned[e] = True
+        allowed = allowed - incidence[e]
+    return best
 
 
 def min_transversal_size(sys: ExplicitQuorumSystem) -> int:
@@ -112,9 +143,11 @@ def combinatorial_params(sys: ExplicitQuorumSystem) -> CombinatorialParams:
     """
     if sys.m == 0:
         raise ParameterError("empty quorum system")
-    masks = sys.quorum_masks()
-    c = min(m.bit_count() for m in masks)
-    return CombinatorialParams(c, _min_pairwise_intersection(masks), min_transversal_size(sys))
+    a_min = min_transversal_size(sys)
+    c = min(m.bit_count() for m in sys.quorum_masks())
+    pair = _smallest_pair(sys)
+    # A single-quorum system has no pair: report the quorum size itself.
+    return CombinatorialParams(c, c if pair is None else pair[0], a_min)
 
 
 def masking_level(sys: ExplicitQuorumSystem) -> int:
@@ -152,13 +185,13 @@ def check_masking(sys: ExplicitQuorumSystem, b: int) -> MaskingCheck:
         # Crashing the whole universe hits every (non-empty) quorum.
         return MaskingCheck(ok=False, resilience_check="exhaustive",
                             blocking_set=ElementSet.full(sys.n))
-    masks = sys.quorum_masks()
-    for (i, qa), (j, qb) in combinations(enumerate(masks), 2):
-        if (qa & qb).bit_count() < 2 * b + 1:
-            mode = "exhaustive" if sys.n <= EXHAUSTIVE_RESILIENCE_MAX_N else "transversal"
-            return MaskingCheck(ok=False, resilience_check=mode, violating_pair=(i, j))
+    pair = _smallest_pair(sys)
+    if pair is not None and pair[0] < 2 * b + 1:
+        mode = "exhaustive" if sys.n <= EXHAUSTIVE_RESILIENCE_MAX_N else "transversal"
+        return MaskingCheck(ok=False, resilience_check=mode, violating_pair=pair[1:])
 
     if sys.n <= EXHAUSTIVE_RESILIENCE_MAX_N:
+        masks = sys.quorum_masks()
         # Every b-subset must leave some quorum untouched.
         for kill in combinations(range(sys.n), b):
             kmask = sum(1 << e for e in kill)
@@ -187,17 +220,11 @@ class Fairness:
 
 def is_fair(sys: ExplicitQuorumSystem) -> Fairness:
     """True iff all quorums share one size s and all elements one degree d."""
-    masks = sys.quorum_masks()
-    sizes = {m.bit_count() for m in masks}
-    if len(sizes) != 1:
+    members = unpack_masks(sys.quorum_words, sys.n)
+    sizes, degrees = members.sum(axis=1), members.sum(axis=0)
+    if sys.m == 0 or (sizes != sizes[0]).any() or (degrees != degrees[0]).any():
         return Fairness(ok=False)
-    degrees = [0] * sys.n
-    for q in masks:
-        for e in iter_bits(q):
-            degrees[e] += 1
-    if len(set(degrees)) != 1:
-        return Fairness(ok=False)
-    return Fairness(ok=True, s=sizes.pop(), d=degrees[0])
+    return Fairness(ok=True, s=int(sizes[0]), d=int(degrees[0]))
 
 
 def load_lp(sys: ExplicitQuorumSystem) -> tuple[float, AccessStrategy]:

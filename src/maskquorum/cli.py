@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import check_masking, combinatorial_params, is_fair, load_fair, load_lp
+from .analysis import check_masking, combinatorial_params, is_fair, load_lp
 from .availability import (
     EXACT_MAX_N,
     EstimateResult,
@@ -256,8 +256,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             if got != want:
                 mismatches.append(f"{name}: brute {got} != analytic {want}")
 
-    if not check_masking(system, params.b):
-        mismatches.append(f"masking check failed at b={params.b}")
+    masking = check_masking(system, params.b)
+    if masking.violating_pair is not None:
+        i, j = masking.violating_pair
+        common = len(system.quorums[i] & system.quorums[j])
+        mismatches.append(f"masking check failed at b={params.b}: quorums {i} and {j} "
+                          f"share {common} elements, masking needs 2b+1 = {2 * params.b + 1}")
+    elif not masking:
+        mismatches.append(f"masking check failed at b={params.b}: crash set "
+                          f"{list(masking.blocking_set.members())} hits every quorum")
 
     rng = Rng(args.seed)
     gen = rng.generator()
@@ -279,9 +286,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     fair = is_fair(system)
     if fair and system.m <= 10 ** 4 and n <= 10 ** 3:
         lp_value, _ = load_lp(system)
-        if abs(lp_value - load_fair(system)) > 1e-6:
-            mismatches.append(
-                f"fair load: lp {lp_value} != c/n {load_fair(system)}")
+        if abs(lp_value - fair.s / n) > 1e-6:
+            mismatches.append(f"fair load: lp {lp_value} != c/n {fair.s / n}")
 
     if mismatches:
         for line in mismatches:

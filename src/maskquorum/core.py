@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._bitops import bools_to_int, iter_bits, pack_rows
+from ._bitops import (
+    BLOCK_WORDS, bools_to_int, iter_bits, pack_ints, pack_rows, pair_intersections,
+)
 from .errors import ParameterError
 
 __all__ = [
@@ -147,6 +150,14 @@ class ExplicitQuorumSystem:
     def quorum_masks(self) -> list[int]:
         return [q.mask for q in self.quorums]
 
+    @cached_property
+    def quorum_words(self) -> np.ndarray:
+        """The quorum list as a read-only (m, W) packed word matrix (pack_rows
+        layout), built once per system."""
+        words = pack_ints(self.quorum_masks(), self.n)
+        words.setflags(write=False)
+        return words
+
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
         """Vectorised live predicate on a (T, n) boolean matrix, for any n."""
         if alive.ndim != 2 or alive.shape[1] != self.n:
@@ -154,9 +165,13 @@ class ExplicitQuorumSystem:
                 f"alive matrix has shape {alive.shape}, system needs (T, {self.n})")
         words = pack_rows(alive)
         live = np.zeros(len(alive), dtype=bool)
-        for quorum in self.quorums:
-            q = pack_rows(quorum.as_bool()[None, :])
-            live |= ((words & q) == q).all(axis=1)
+        block = max(1, BLOCK_WORDS // max(1, words.size))
+        for q0 in range(0, self.m, block):
+            q = self.quorum_words[q0:q0 + block, None, :]
+            # OR-ing row by row, not with any(axis=0), keeps a one-quorum
+            # block (T >= 2^16) at one pass over the rows.
+            for contained in ((words & q) == q).all(axis=2):
+                live |= contained
         return live
 
 
@@ -183,10 +198,9 @@ def validate_explicit(sys: ExplicitQuorumSystem) -> ValidationReport:
             violations.append(f"quorums {seen[m]} and {i} are identical")
         else:
             seen[m] = i
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j] == 0:
-                violations.append(f"quorums {i} and {j} are disjoint")
+    for i0, sizes in pair_intersections(sys.quorum_words):
+        for k, j in zip(*np.nonzero(sizes == 0)):
+            violations.append(f"quorums {i0 + k} and {j} are disjoint")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -1,13 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import maskquorum as mq
-from maskquorum import ExplicitQuorumSystem, build
+from maskquorum import ExplicitQuorumSystem, analysis, build
 from maskquorum.errors import ApplicabilityError, ParameterError, SizeError
 
 from oracles import brute_resilience
+
+# Explicit systems on up to 12 elements whose quorums may be disjoint.
+random_systems = st.integers(1, 12).flatmap(lambda n: st.sets(
+    st.integers(1, (1 << n) - 1), min_size=1, max_size=20).map(
+        lambda masks: ExplicitQuorumSystem.from_masks(n, sorted(masks))))
 
 
 class TestCombinatorialParams:
@@ -50,12 +58,9 @@ class TestMaskingLevel:
         assert mq.masking_level(system) == 1
 
     def test_equals_largest_checkable_b(self, materialized):
-        # n <= 12 exercises the exhaustive resilience branch; moderately sized
-        # systems exercise the transversal branch (the heaviest two quorum
-        # lists are skipped, their parameters are cross-checked elsewhere).
+        # n <= 12 exercises the exhaustive resilience branch, larger systems
+        # the transversal branch.
         for name, system in materialized.items():
-            if system.n > 12 and system.m > 500:
-                continue
             level = mq.masking_level(system)
             assert mq.check_masking(system, level).ok, name
             assert not mq.check_masking(system, level + 1).ok, name
@@ -98,6 +103,39 @@ class TestCheckMasking:
         assert mq.check_masking(small, 0).resilience_check == "exhaustive"
         big = build(mq.MGridSpec(4, 1)).materialize(100)
         assert mq.check_masking(big, 1).resilience_check == "transversal"
+
+    @given(random_systems, st.integers(0, 4))
+    def test_violating_pair_is_a_smallest_intersection(self, system, b):
+        masks = system.quorum_masks()
+        result = mq.check_masking(system, b)
+        if b >= system.n or system.m == 1:
+            assert result.violating_pair is None
+            return
+        smallest = min((x & y).bit_count() for x, y in itertools.combinations(masks, 2))
+        if smallest >= 2 * b + 1:
+            assert result.violating_pair is None
+        else:
+            i, j = result.violating_pair
+            assert i < j
+            assert (masks[i] & masks[j]).bit_count() == smallest
+
+    def test_smallest_pair_in_the_last_kernel_block(self):
+        # 2001 quorums, so the pairwise kernel splits the rows into blocks.
+        # The first 1999 contain {0, 1, 2}; the last two, {0, 1, 3} and
+        # {0, 2, 4}, meet the others in 2 elements and each other in 1.
+        masks = [0b111 | x << 5 for x in range(1, 2000)] + [0b01011, 0b10101]
+        system = ExplicitQuorumSystem.from_masks(16, masks)
+        assert mq.check_masking(system, 1).violating_pair == (1999, 2000)
+        assert mq.combinatorial_params(system).i_min == 1
+
+
+class TestMinTransversal:
+    @given(random_systems)
+    def test_matches_brute_force(self, system):
+        size, witness = analysis._min_transversal(system)
+        assert size == brute_resilience(system.n, system.quorum_masks()) + 1
+        assert witness.bit_count() == size
+        assert all(q & witness for q in system.quorum_masks())
 
 
 class TestResilience:

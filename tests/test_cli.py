@@ -244,6 +244,32 @@ class TestOracle:
         assert code == 4
         assert f"oracle mismatch: {message} (trial " in err
 
+    @pytest.mark.parametrize("failure, message", [
+        (mq.MaskingCheck(ok=False, resilience_check="exhaustive", violating_pair=(0, 2)),
+         "masking check failed at b=0: quorums 0 and 2 share 1 elements, masking needs 2b+1 = 1"),
+        (mq.MaskingCheck(ok=False, resilience_check="exhaustive",
+                         blocking_set=mq.ElementSet.from_indices(3, [0, 2])),
+         "masking check failed at b=0: crash set [0, 2] hits every quorum"),
+    ], ids=["violating_pair", "blocking_set"])
+    def test_masking_failure_names_witness(self, capsys, monkeypatch, failure, message):
+        monkeypatch.setattr(cli, "check_masking", lambda system, b: failure)
+        code, _, err = run_cli(capsys, "oracle", THRESHOLD32)
+        assert code == 4
+        assert f"oracle mismatch: {message}" in err
+
+    def test_one_transversal_search_per_system(self, capsys, monkeypatch):
+        searched = []
+        search = mq.analysis._search_transversal
+
+        def counting_search(system):
+            searched.append(system.m)
+            return search(system)
+
+        monkeypatch.setattr(mq.analysis, "_search_transversal", counting_search)
+        code, _, _ = run_cli(capsys, "oracle", '{"BoostFPP": {"q": 2, "b": 1}}')
+        assert code == 0
+        assert searched == [875]
+
     def test_large_composed_exceeds_cap(self, capsys):
         code, _, err = run_cli(capsys, "oracle", LARGE_COMPOSED)
         assert code == 3

@@ -137,6 +137,19 @@ class TestValidateExplicit:
     def test_fano_ok(self):
         assert mq.validate_explicit(mq.fpp_lines(2)).ok
 
+    @pytest.mark.parametrize("n, masks", [
+        (5, [0b00011, 0b01100, 0b10000, 0b00101, 0b11010, 0b01001]),
+        # 2047 quorums: the pairwise kernel splits the rows into blocks.
+        (11, range(2047, 0, -1)),
+    ])
+    def test_disjoint_pairs_in_double_loop_order(self, n, masks):
+        sys = ExplicitQuorumSystem.from_masks(n, masks)
+        m = sys.quorum_masks()
+        want = [f"quorums {i} and {j} are disjoint"
+                for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] & m[j] == 0]
+        assert len(want) > 3
+        assert mq.validate_explicit(sys).violations == tuple(want)
+
     @given(st.permutations(range(7)))
     def test_stable_under_reordering(self, order):
         fano = mq.fpp_lines(2)
