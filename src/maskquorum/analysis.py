@@ -5,17 +5,18 @@ smallest transversal, masking verification straight from the definitions,
 fairness, and the exact load via linear programming, together with the
 masking-load lower bounds.
 
-Pairwise intersections come from one blocked popcount kernel over the
-system's packed quorum words (``_bitops.pair_intersections``).  The smallest
-transversal is a pruned branch and bound (``_search_transversal``), run at
-most once per system object: combinatorial_params, masking_level and
-check_masking share its result.
+Each question has one route, and all of them read the system's packed quorum
+words.  Pairwise intersections come from one blocked popcount kernel
+(``_bitops.pair_intersections``).  The smallest transversal is a pruned
+branch and bound (``_search_transversal``), run at most once per system
+object: combinatorial_params, masking_level and check_masking's resilience
+half share its result.  Fairness, the load LP and induced loads take the
+incidence matrix from ``unpack_masks`` of the same words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil, sqrt
 from typing import NamedTuple
 
@@ -37,7 +38,6 @@ A_MIN_MAX_N = 30
 A_MIN_MAX_QUORUMS = 10 ** 4
 LP_MAX_QUORUMS = 10 ** 4
 LP_MAX_N = 10 ** 3
-EXHAUSTIVE_RESILIENCE_MAX_N = 12
 
 
 class CombinatorialParams(NamedTuple):
@@ -163,7 +163,6 @@ def masking_level(sys: ExplicitQuorumSystem) -> int:
 @dataclass(frozen=True)
 class MaskingCheck:
     ok: bool
-    resilience_check: str  # "exhaustive" or "transversal"
     violating_pair: tuple[int, int] | None = None
     blocking_set: ElementSet | None = None
 
@@ -172,40 +171,26 @@ class MaskingCheck:
 
 
 def check_masking(sys: ExplicitQuorumSystem, b: int) -> MaskingCheck:
-    """Definitional b-masking check: resilience f >= b and all intersections >= 2b+1.
+    """Definitional b-masking check: every two quorums share at least 2b+1
+    elements, and no b crashes hit every quorum (a_min >= b+1).
 
-    On failure the result carries a violating quorum pair or a blocking set of
-    size <= b.  Resilience is checked exhaustively over all b-subsets for
-    n <= 12, and via the transversal bound a_min >= b+1 otherwise; the result
-    says which check ran.
+    On failure the result carries one witness: a smallest-intersection quorum
+    pair if some pair shares fewer than 2b+1 elements, otherwise a blocking
+    set, which is a minimum transversal of size a_min <= b.  Resilience has
+    one route, the transversal search that combinatorial_params shares.
     """
     if b < 0:
         raise ParameterError(f"masking level must be >= 0, got {b}")
     if b >= sys.n:
         # Crashing the whole universe hits every (non-empty) quorum.
-        return MaskingCheck(ok=False, resilience_check="exhaustive",
-                            blocking_set=ElementSet.full(sys.n))
+        return MaskingCheck(ok=False, blocking_set=ElementSet.full(sys.n))
     pair = _smallest_pair(sys)
     if pair is not None and pair[0] < 2 * b + 1:
-        mode = "exhaustive" if sys.n <= EXHAUSTIVE_RESILIENCE_MAX_N else "transversal"
-        return MaskingCheck(ok=False, resilience_check=mode, violating_pair=pair[1:])
-
-    if sys.n <= EXHAUSTIVE_RESILIENCE_MAX_N:
-        masks = sys.quorum_masks()
-        # Every b-subset must leave some quorum untouched.
-        for kill in combinations(range(sys.n), b):
-            kmask = sum(1 << e for e in kill)
-            if all(q & kmask for q in masks):
-                return MaskingCheck(ok=False, resilience_check="exhaustive",
-                                    blocking_set=ElementSet(sys.n, kmask))
-        return MaskingCheck(ok=True, resilience_check="exhaustive")
-
+        return MaskingCheck(ok=False, violating_pair=pair[1:])
     a_min, witness = _min_transversal(sys)
-    if a_min < b + 1:
-        # A minimal transversal of size a_min <= b blocks every quorum.
-        return MaskingCheck(ok=False, resilience_check="transversal",
-                            blocking_set=ElementSet(sys.n, witness))
-    return MaskingCheck(ok=True, resilience_check="transversal")
+    if a_min <= b:
+        return MaskingCheck(ok=False, blocking_set=ElementSet(sys.n, witness))
+    return MaskingCheck(ok=True)
 
 
 @dataclass(frozen=True)
@@ -241,10 +226,7 @@ def load_lp(sys: ExplicitQuorumSystem) -> tuple[float, AccessStrategy]:
             f"load LP capped at {LP_MAX_QUORUMS} quorums and n <= {LP_MAX_N}; "
             f"got m={sys.m}, n={sys.n}")
     m, n = sys.m, sys.n
-    incidence = np.zeros((n, m))
-    for qi, q in enumerate(sys.quorums):
-        for e in q:
-            incidence[e, qi] = 1.0
+    incidence = unpack_masks(sys.quorum_words, n).T.astype(np.float64)
     # Variables: w_0..w_{m-1}, t.
     a_ub = np.hstack([incidence, -np.ones((n, 1))])
     a_eq = np.concatenate([np.ones(m), [0.0]])[None, :]
@@ -269,10 +251,7 @@ def induced_load(sys: ExplicitQuorumSystem, strategy: AccessStrategy) -> Induced
     if len(strategy) != sys.m:
         raise ParameterError(
             f"strategy has {len(strategy)} weights for {sys.m} quorums")
-    loads = np.zeros(sys.n)
-    for qi, q in enumerate(sys.quorums):
-        for e in q:
-            loads[e] += strategy.weights[qi]
+    loads = strategy.weights @ unpack_masks(sys.quorum_words, sys.n)
     return InducedLoad(per_element=loads, max=float(loads.max()))
 
 

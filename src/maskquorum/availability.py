@@ -1,12 +1,13 @@
 """Crash probability of quorum systems: exact, Monte Carlo, and analytic bounds.
 
-The exact path enumerates all 2^n crash sets once, tallying how many crash
-sets of each cardinality kill the system; the crash probability at any p is
-then the exact polynomial sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and
-Monte Carlo share one live predicate, ``live_batch`` on a (T, n) boolean
-matrix, for handles and explicit systems alike; Monte Carlo uses counter-based
-randomness, so estimates are bit-identical for a given seed regardless of
-chunking or thread count.
+The exact path enumerates all 2^n crash sets once per handle or explicit
+system object, tallying how many crash sets of each cardinality kill the
+system; the crash probability at any p is then the exact polynomial
+sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and Monte Carlo share one live
+predicate, ``live_batch`` on a (T, n) boolean matrix, for handles and
+explicit systems alike; Monte Carlo uses counter-based randomness, so
+estimates are bit-identical for a given seed regardless of chunking or
+thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -78,27 +78,22 @@ def _profile_of(target) -> np.ndarray:
     return profile
 
 
-@lru_cache(maxsize=64)
-def _profile_explicit(sys: ExplicitQuorumSystem) -> np.ndarray:
-    return _profile_of(sys)
-
-
 def crash_profile(target: ExplicitQuorumSystem | QuorumSystemHandle) -> np.ndarray:
     """Exact kill counts by crash cardinality: entry d is the number of crash
     sets of size d under which no quorum is fully alive.  Requires n <= 25.
+
+    Enumerated once per object and kept on it, for handles and explicit
+    systems alike; an equal object built separately enumerates again.
     """
     n = target.n
     if n > EXACT_MAX_N:
         raise SizeError(
             f"exact enumeration capped at n <= {EXACT_MAX_N} (got n={n}); "
             "use crash_prob_mc instead")
-    if isinstance(target, ExplicitQuorumSystem):
-        return _profile_explicit(target)
-    cached = getattr(target, "_crash_profile", None)
-    if cached is None:
-        cached = _profile_of(target)
-        target._crash_profile = cached
-    return cached
+    memo = target.__dict__
+    if "_crash_profile" not in memo:
+        memo["_crash_profile"] = _profile_of(target)
+    return memo["_crash_profile"]
 
 
 def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,

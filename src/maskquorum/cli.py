@@ -25,7 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import check_masking, combinatorial_params, is_fair, load_lp
+from .analysis import (
+    LP_MAX_N,
+    LP_MAX_QUORUMS,
+    check_masking,
+    combinatorial_params,
+    is_fair,
+    load_lp,
+)
 from .availability import (
     EXACT_MAX_N,
     EstimateResult,
@@ -101,7 +108,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     handle = build(_load_spec(args.spec))
     params = handle.params
     out: dict = {"n": params.n}
-    if handle.quorum_count() <= args.materialize_cap:
+    if handle.quorum_count() <= min(args.materialize_cap, LP_MAX_QUORUMS) and params.n <= LP_MAX_N:
         system = handle.materialize(args.materialize_cap)
         value, _ = load_lp(system)
         out["method"] = "lp"
@@ -284,7 +291,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         mismatches.append("sampled quorum is not live")
 
     fair = is_fair(system)
-    if fair and system.m <= 10 ** 4 and n <= 10 ** 3:
+    if fair and system.m <= LP_MAX_QUORUMS and n <= LP_MAX_N:
         lp_value, _ = load_lp(system)
         if abs(lp_value - fair.s / n) > 1e-6:
             mismatches.append(f"fair load: lp {lp_value} != c/n {fair.s / n}")

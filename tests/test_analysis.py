@@ -16,6 +16,9 @@ from oracles import brute_resilience
 random_systems = st.integers(1, 12).flatmap(lambda n: st.sets(
     st.integers(1, (1 << n) - 1), min_size=1, max_size=20).map(
         lambda masks: ExplicitQuorumSystem.from_masks(n, sorted(masks))))
+# A random system with a masking level b from 0 to n + 2.
+masking_cases = random_systems.flatmap(
+    lambda system: st.tuples(st.just(system), st.integers(0, system.n + 2)))
 
 
 class TestCombinatorialParams:
@@ -58,8 +61,8 @@ class TestMaskingLevel:
         assert mq.masking_level(system) == 1
 
     def test_equals_largest_checkable_b(self, materialized):
-        # n <= 12 exercises the exhaustive resilience branch, larger systems
-        # the transversal branch.
+        # Level + 1 fails on a pair or on the shared minimum transversal, at
+        # every n.
         for name, system in materialized.items():
             level = mq.masking_level(system)
             assert mq.check_masking(system, level).ok, name
@@ -92,17 +95,17 @@ class TestCheckMasking:
         system = ExplicitQuorumSystem.from_masks(3, [0b011, 0b101, 0b110])
         result = mq.check_masking(system, 2)
         assert not result.ok
-        assert result.resilience_check == "exhaustive"
         # Intersections of size 1 already fail at b = 2; drop to the
         # resilience-only regime with b = 1 on a wider system.
         wide = build(mq.ThresholdSpec(5, 4)).materialize(10)
         assert mq.check_masking(wide, 1).ok
-
-    def test_reports_which_resilience_check_ran(self):
-        small = build(mq.ThresholdSpec(4, 3)).materialize(10)
-        assert mq.check_masking(small, 0).resilience_check == "exhaustive"
-        big = build(mq.MGridSpec(4, 1)).materialize(100)
-        assert mq.check_masking(big, 1).resilience_check == "transversal"
+        # Every pair shares {0, 1, 2}, enough for b = 1, but crashing
+        # element 0 alone hits every quorum.
+        star = ExplicitQuorumSystem.from_masks(6, [0b001111, 0b010111, 0b100111])
+        result = mq.check_masking(star, 1)
+        assert not result.ok and result.violating_pair is None
+        assert len(result.blocking_set) == 1
+        assert all(q & result.blocking_set.mask for q in star.quorum_masks())
 
     @given(random_systems, st.integers(0, 4))
     def test_violating_pair_is_a_smallest_intersection(self, system, b):
@@ -118,6 +121,25 @@ class TestCheckMasking:
             i, j = result.violating_pair
             assert i < j
             assert (masks[i] & masks[j]).bit_count() == smallest
+
+    @given(masking_cases)
+    def test_matches_brute_force(self, case):
+        # Resilience has one route, the shared minimum transversal; brute
+        # force walks every b-subset and every pair.
+        system, b = case
+        masks = system.quorum_masks()
+        result = mq.check_masking(system, b)
+        pairs = [(x & y).bit_count() for x, y in itertools.combinations(masks, 2)]
+        want = (b < system.n and brute_resilience(system.n, masks) >= b
+                and (system.m == 1 or min(pairs) >= 2 * b + 1))
+        assert result.ok == want
+        assert want == (result.violating_pair is None and result.blocking_set is None)
+        if result.violating_pair is not None:
+            i, j = result.violating_pair
+            assert (masks[i] & masks[j]).bit_count() < 2 * b + 1
+        if result.blocking_set is not None:
+            assert len(result.blocking_set) <= b
+            assert all(q & result.blocking_set.mask for q in masks)
 
     def test_smallest_pair_in_the_last_kernel_block(self):
         # 2001 quorums, so the pairwise kernel splits the rows into blocks.

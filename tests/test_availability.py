@@ -78,6 +78,40 @@ class TestCrashProbExact:
                     assert value >= bounds.p_f - 1e-12, (name, p)
 
 
+class TestProfileMemo:
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        targets = []
+        profile_of = availability._profile_of
+
+        def counting_profile_of(target):
+            targets.append(target)
+            return profile_of(target)
+
+        monkeypatch.setattr(availability, "_profile_of", counting_profile_of)
+        return targets
+
+    def test_handle_enumerates_once(self, enumerated):
+        handle = build(mq.ThresholdSpec(3, 2))
+        exact(handle, 0.2)
+        exact(handle, 0.7)
+        assert enumerated == [handle]
+
+    def test_explicit_system_enumerates_once(self, enumerated):
+        system = ExplicitQuorumSystem.from_masks(3, [0b011, 0b101, 0b110])
+        exact(system, 0.2)
+        exact(system, 0.7)
+        assert enumerated == [system]
+
+    def test_equal_systems_enumerate_once_each(self, enumerated):
+        # The memo lives on the object: no cache is shared between equal systems.
+        first = ExplicitQuorumSystem.from_masks(3, [0b011, 0b101, 0b110])
+        second = ExplicitQuorumSystem.from_masks(3, [0b011, 0b101, 0b110])
+        assert first == second and first is not second
+        assert exact(first, 0.3) == exact(second, 0.3)
+        assert [id(t) for t in enumerated] == [id(first), id(second)]
+
+
 class TestCrashProbMc:
     def test_p_zero_is_exactly_zero(self):
         est = mq.crash_prob_mc(build(mq.ThresholdSpec(3, 2)), 0.0, trials=1000, seed=1)

@@ -65,6 +65,16 @@ class TestLoad:
         assert code == 0
         assert json.loads(out)["method"] == "analytic"
 
+    def test_lp_limits_pick_the_method(self, capsys):
+        # n = 1001 is past the LP's n limit although the 1001 quorums are
+        # under the materialize cap; n = 999 is within both limits.
+        code, out, _ = run_cli(capsys, "load", '{"Threshold": {"k": 1001, "ell": 1000}}')
+        assert code == 0
+        assert json.loads(out)["method"] == "analytic"
+        code, out, _ = run_cli(capsys, "load", '{"Threshold": {"k": 999, "ell": 998}}')
+        assert code == 0
+        assert json.loads(out)["method"] == "lp"
+
 
 class TestFp:
     def test_exact_value(self, capsys):
@@ -245,10 +255,9 @@ class TestOracle:
         assert f"oracle mismatch: {message} (trial " in err
 
     @pytest.mark.parametrize("failure, message", [
-        (mq.MaskingCheck(ok=False, resilience_check="exhaustive", violating_pair=(0, 2)),
+        (mq.MaskingCheck(ok=False, violating_pair=(0, 2)),
          "masking check failed at b=0: quorums 0 and 2 share 1 elements, masking needs 2b+1 = 1"),
-        (mq.MaskingCheck(ok=False, resilience_check="exhaustive",
-                         blocking_set=mq.ElementSet.from_indices(3, [0, 2])),
+        (mq.MaskingCheck(ok=False, blocking_set=mq.ElementSet.from_indices(3, [0, 2])),
          "masking check failed at b=0: crash set [0, 2] hits every quorum"),
     ], ids=["violating_pair", "blocking_set"])
     def test_masking_failure_names_witness(self, capsys, monkeypatch, failure, message):
