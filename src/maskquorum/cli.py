@@ -48,7 +48,7 @@ from .availability import (
 )
 from .constructions import (
     BoostFPPSpec,
-    ComposedHandle,
+    ComposedSpec,
     ConstructionSpec,
     MGridSpec,
     MPathSpec,
@@ -154,8 +154,9 @@ def _cmd_fp(args: argparse.Namespace) -> int:
     handle = build(spec)
     p = args.p
     # Default mode: exact when the enumeration is tractable, Monte Carlo
-    # otherwise.  Crossing-path systems with r >= 2 count paths level by level,
-    # several times slower per subset than the r = 1 flood fill, so auto-exact
+    # otherwise.  Crossing-path systems with r >= 2 count paths level by level:
+    # at side 5 the predicate took 0.45 s per 2^20 subsets at cap 1 (flood
+    # fill), 0.87 s at cap 2 and 1.03 s at cap 3 on a 2-vCPU Xeon, so auto-exact
     # is limited to 2^16 subsets there; --exact still forces full enumeration.
     path_counted = isinstance(spec, MPathSpec) and spec.r > 1
     auto_exact = handle.n <= (16 if path_counted else EXACT_MAX_N)
@@ -179,7 +180,7 @@ def _cmd_fp(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    composed = ComposedHandle(build(_load_spec(args.outer)), build(_load_spec(args.inner)))
+    composed = build(ComposedSpec(_load_spec(args.outer), _load_spec(args.inner)))
     out: dict = {"params": composed.params.to_dict()}
     if composed.quorum_count() <= args.materialize_cap:
         system = composed.materialize(args.materialize_cap)
@@ -247,21 +248,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         mismatches += [f"validate: {v}" for v in report.violations]
 
     brute = combinatorial_params(system)
-    if isinstance(spec, MPathSpec):
-        # Straight-path sub-system: c and a_min must match; the pairwise
-        # intersection must clear the masking requirement.
-        if brute.c != params.c:
-            mismatches.append(f"c: brute {brute.c} != analytic {params.c}")
-        if brute.a_min != params.a_min:
-            mismatches.append(f"a_min: brute {brute.a_min} != analytic {params.a_min}")
-        if brute.i_min < 2 * params.b + 1:
-            mismatches.append(f"i_min: brute {brute.i_min} < 2b+1 = {2 * params.b + 1}")
-    else:
-        for name, got, want in [("c", brute.c, params.c),
-                                ("i_min", brute.i_min, params.i_min),
-                                ("a_min", brute.a_min, params.a_min)]:
-            if got != want:
-                mismatches.append(f"{name}: brute {got} != analytic {want}")
+    exact = [("c", brute.c, params.c), ("a_min", brute.a_min, params.a_min)]
+    if handle.lists_every_quorum:
+        exact.append(("i_min", brute.i_min, params.i_min))
+    elif brute.i_min < 2 * params.b + 1:  # a sub-system need only clear 2b+1
+        mismatches.append(f"i_min: brute {brute.i_min} < 2b+1 = {2 * params.b + 1}")
+    mismatches += [f"{name}: brute {got} != analytic {want}"
+                   for name, got, want in exact if got != want]
 
     masking = check_masking(system, params.b)
     if masking.violating_pair is not None:
@@ -284,7 +277,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for trial in np.flatnonzero(handle_live != explicit_live):
         if explicit_live[trial]:
             mismatches.append(f"live: quorum alive but handle dead (trial {trial})")
-        elif not isinstance(spec, MPathSpec):
+        elif handle.lists_every_quorum:
             mismatches.append(f"live: handle alive but no quorum alive (trial {trial})")
     quorums = np.array([handle.sample_quorum(gen).as_bool() for _ in range(100)])
     if not handle.live_batch(quorums).all():

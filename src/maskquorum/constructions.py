@@ -2,7 +2,10 @@
 
 Each builder returns a QuorumSystemHandle exposing closed-form combinatorial
 parameters, a live-quorum predicate, a load-optimal quorum sampler, and (for
-small instances) materialization to an ExplicitQuorumSystem.
+small instances) materialization to an ExplicitQuorumSystem.  MGrid and MPath
+share one row/column handle, FPP answers from its explicit plane, BoostFPP is
+a composition.  MPath materializes only its straight-path quorums, so it and
+every composition containing it report lists_every_quorum = False.
 
 Canonical element numbering: grid cell (i, j) -> i*side + j (0-based);
 recursive-threshold leaves are numbered left to right; in a composition the
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Union
 
@@ -46,9 +49,16 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def _require_int_fields(spec) -> None:
+    """Reject a spec whose fields are not all integers; a bool is rejected
+    too, so JSON true does not read as 1."""
+    for name, value in vars(spec).items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterError(
+                f"{type(spec).__name__}.{name} must be an integer, got {value!r}")
+
+
 def _require_prime(q: int) -> None:
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise ParameterError(f"projective-plane order must be an integer, got {q!r}")
     if not _is_prime(q):
         raise UnsupportedOrderError(
             f"projective-plane order {q} is not prime; only prime orders are supported")
@@ -66,6 +76,7 @@ class MGridSpec:
     b: int
 
     def __post_init__(self) -> None:
+        _require_int_fields(self)
         if self.side < 2:
             raise ParameterError(f"MGrid needs side >= 2, got {self.side}")
         if self.b < 0:
@@ -96,6 +107,7 @@ class ThresholdSpec:
     ell: int
 
     def __post_init__(self) -> None:
+        _require_int_fields(self)
         if self.k == 1 and self.ell == 1:
             return
         if not (self.k > self.ell > self.k / 2):
@@ -112,6 +124,7 @@ class RTSpec:
     h: int
 
     def __post_init__(self) -> None:
+        _require_int_fields(self)
         if not (self.k > self.ell > self.k / 2):
             raise ParameterError(
                 f"recursive threshold requires k > ell > k/2, got k={self.k}, ell={self.ell}")
@@ -126,6 +139,7 @@ class FPPSpec:
     q: int
 
     def __post_init__(self) -> None:
+        _require_int_fields(self)
         _require_prime(self.q)
 
 
@@ -137,6 +151,7 @@ class BoostFPPSpec:
     b: int
 
     def __post_init__(self) -> None:
+        _require_int_fields(self)
         _require_prime(self.q)
         if self.b < 0:
             raise ParameterError(f"BoostFPP needs b >= 0, got {self.b}")
@@ -150,6 +165,7 @@ class MPathSpec:
     b: int
 
     def __post_init__(self) -> None:
+        _require_int_fields(self)
         if self.side < 2:
             raise ParameterError(f"MPath needs side >= 2, got {self.side}")
         if self.b < 0:
@@ -230,6 +246,9 @@ class QuorumSystemHandle:
 
     spec: ConstructionSpec
     params: SystemParams
+    # False when materialize lists only some of the quorums (straight paths
+    # for MPath), so its explicit system may be dead where the handle is live.
+    lists_every_quorum: bool = True
 
     @property
     def n(self) -> int:
@@ -299,72 +318,56 @@ class ThresholdHandle(QuorumSystemHandle):
             yield sum(1 << i for i in subset)
 
 
-@lru_cache(maxsize=16)
-def _row_masks(side: int) -> tuple[int, ...]:
-    return tuple(((1 << side) - 1) << (i * side) for i in range(side))
+class _RowColumnHandle(QuorumSystemHandle):
+    """Quorums are unions of g full rows and g full columns of a side x side
+    grid; subclasses give g, the smallest intersection and the live predicate."""
+
+    def __init__(self, spec: MGridSpec | MPathSpec, g: int, i_min: int):
+        self.spec = spec
+        self.g = g
+        side = spec.side
+        n = side * side
+        c = 2 * g * side - g * g
+        self.params = SystemParams.derive(
+            n=n, c=c, i_min=i_min, a_min=side - g + 1, load=c / n)
+        self._rows = [((1 << side) - 1) << (i * side) for i in range(side)]
+        first = sum(1 << (i * side) for i in range(side))
+        self._cols = [first << j for j in range(side)]
+
+    def _sample_mask(self, gen: np.random.Generator) -> int:
+        # Rows are pairwise disjoint, and so are columns, so a sum is their union.
+        side = self.spec.side
+        rows = sum(self._rows[i] for i in gen.choice(side, self.g, replace=False))
+        return rows | sum(self._cols[j] for j in gen.choice(side, self.g, replace=False))
+
+    def quorum_count(self) -> int:
+        return math.comb(self.spec.side, self.g) ** 2
+
+    def iter_quorum_masks(self) -> Iterator[int]:
+        col_unions = [sum(cj) for cj in combinations(self._cols, self.g)]
+        for ri in combinations(self._rows, self.g):
+            row_union = sum(ri)
+            for col_union in col_unions:
+                yield row_union | col_union
 
 
-@lru_cache(maxsize=16)
-def _col_masks(side: int) -> tuple[int, ...]:
-    first = sum(1 << (i * side) for i in range(side))
-    return tuple(first << j for j in range(side))
-
-
-def _iter_row_col_unions(side: int, g: int) -> Iterator[int]:
-    rows, cols = _row_masks(side), _col_masks(side)
-    for ri in combinations(range(side), g):
-        rmask = 0
-        for i in ri:
-            rmask |= rows[i]
-        for cj in combinations(range(side), g):
-            mask = rmask
-            for j in cj:
-                mask |= cols[j]
-            yield mask
-
-
-def _sample_row_col_union(side: int, g: int, gen: np.random.Generator) -> int:
-    rows, cols = _row_masks(side), _col_masks(side)
-    mask = 0
-    for i in gen.choice(side, g, replace=False):
-        mask |= rows[int(i)]
-    for j in gen.choice(side, g, replace=False):
-        mask |= cols[int(j)]
-    return mask
-
-
-class MGridHandle(QuorumSystemHandle):
-    """Quorums are unions of g full rows and g full columns of the grid.
-
-    The smallest pairwise intersection is 2g^2 - max(0, 2g - side)^2: two
+class MGridHandle(_RowColumnHandle):
+    """The smallest pairwise intersection is 2g^2 - max(0, 2g - side)^2: two
     quorums with a rows and a' columns in common intersect in
     s(a+a') - aa' + 2(g-a)(g-a') cells, minimised at a = a' = max(0, 2g-side).
     """
 
     def __init__(self, spec: MGridSpec):
-        self.spec = spec
-        side, g = spec.side, spec.g
-        n = side * side
-        c = 2 * g * side - g * g
-        t = max(0, 2 * g - side)
-        self.params = SystemParams.derive(
-            n=n, c=c, i_min=2 * g * g - t * t, a_min=side - g + 1, load=c / n)
+        g = spec.g
+        t = max(0, 2 * g - spec.side)
+        super().__init__(spec, g, i_min=2 * g * g - t * t)
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
-        side, g = self.spec.side, self.spec.g
+        side, g = self.spec.side, self.g
         grid = alive.reshape(len(alive), side, side)
         full_rows = grid.all(axis=2).sum(axis=1)
         full_cols = grid.all(axis=1).sum(axis=1)
         return (full_rows >= g) & (full_cols >= g)
-
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        return _sample_row_col_union(self.spec.side, self.spec.g, gen)
-
-    def quorum_count(self) -> int:
-        return math.comb(self.spec.side, self.spec.g) ** 2
-
-    def iter_quorum_masks(self) -> Iterator[int]:
-        return _iter_row_col_unions(self.spec.side, self.spec.g)
 
 
 class RTHandle(QuorumSystemHandle):
@@ -430,7 +433,7 @@ def fpp_lines(q: int) -> ExplicitQuorumSystem:
     one line per coefficient class; every line has q+1 points and two distinct
     lines meet in exactly one point.
     """
-    _require_prime(q)
+    FPPSpec(q)  # rejects a q that is not a prime integer
     points: list[tuple[int, int, int]] = []
     for a in range(q):
         for b in range(q):
@@ -450,44 +453,41 @@ def fpp_lines(q: int) -> ExplicitQuorumSystem:
 
 
 class FPPHandle(QuorumSystemHandle):
+    """The lines of the projective plane of order q; every question is
+    answered by the explicit plane, built once per handle."""
+
     def __init__(self, spec: FPPSpec):
         self.spec = spec
         q = spec.q
         n = q * q + q + 1
         self.params = SystemParams.derive(n=n, c=q + 1, i_min=1, a_min=q + 1, load=(q + 1) / n)
-        self._lines: list[int] | None = None
-        self._points: np.ndarray | None = None
 
-    def _line_masks(self) -> list[int]:
-        if self._lines is None:
-            self._lines = fpp_lines(self.spec.q).quorum_masks()
-        return self._lines
+    @cached_property
+    def _plane(self) -> ExplicitQuorumSystem:
+        return fpp_lines(self.spec.q)
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
-        if self._points is None:  # the q+1 points of each line, one row per line
-            self._points = np.array([list(iter_bits(m)) for m in self._line_masks()])
-        return alive[:, self._points].all(axis=2).any(axis=1)
+        return self._plane.live_batch(alive)
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
-        lines = self._line_masks()
-        return lines[int(gen.integers(len(lines)))]
+        return self._plane.quorums[int(gen.integers(self.params.n))].mask
 
     def quorum_count(self) -> int:
         return self.params.n
 
     def iter_quorum_masks(self) -> Iterator[int]:
-        return iter(self._line_masks())
+        return iter(self._plane.quorum_masks())
 
 
 class ComposedHandle(QuorumSystemHandle):
     """The composition of an outer system over disjoint copies of an inner one."""
 
-    def __init__(self, outer: QuorumSystemHandle, inner: QuorumSystemHandle,
-                 spec: ConstructionSpec | None = None):
-        self.outer = outer
-        self.inner = inner
-        self.spec = spec if spec is not None else ComposedSpec(outer.spec, inner.spec)
-        self.params = compose_params(outer.params, inner.params)
+    def __init__(self, spec: ComposedSpec):
+        self.spec = spec
+        self.outer = build(spec.outer)
+        self.inner = build(spec.inner)
+        self.params = compose_params(self.outer.params, self.inner.params)
+        self.lists_every_quorum = self.outer.lists_every_quorum and self.inner.lists_every_quorum
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         t = len(alive)
@@ -520,59 +520,45 @@ class BoostFPPHandle(ComposedHandle):
     """
 
     def __init__(self, spec: BoostFPPSpec):
-        super().__init__(
-            FPPHandle(FPPSpec(spec.q)),
-            ThresholdHandle(ThresholdSpec(4 * spec.b + 1, 3 * spec.b + 1)),
-            spec=spec,
-        )
+        super().__init__(ComposedSpec(FPPSpec(spec.q),
+                                      ThresholdSpec(4 * spec.b + 1, 3 * spec.b + 1)))
+        self.spec = spec
 
 
-class MPathHandle(QuorumSystemHandle):
+class MPathHandle(_RowColumnHandle):
     """Quorums of r disjoint crossing paths per orientation on the triangulated grid.
 
     Analytic parameters report the straight-path quorum size 2*r*side - r^2 and
     the crossing-argument intersection bound r^2.  Sampling and materialization
-    use straight rows/columns only.  Liveness asks disjoint_path_counts for
-    both orientations' path counts capped at r: a dual-crossing fill on row
-    words (the packed flood fill when r = 1 and n <= 64).
+    use straight rows/columns only, so materialize lists only some quorums.
+    Liveness asks disjoint_path_counts for both orientations' path counts
+    capped at r: a dual-crossing fill on row words (the packed flood fill when
+    r = 1 and n <= 64).
     """
 
+    lists_every_quorum = False
+
     def __init__(self, spec: MPathSpec):
-        self.spec = spec
-        side, r = spec.side, spec.r
-        n = side * side
-        c = 2 * r * side - r * r
-        self.params = SystemParams.derive(
-            n=n, c=c, i_min=r * r, a_min=side - r + 1, load=c / n)
+        super().__init__(spec, spec.r, i_min=spec.r * spec.r)
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
-        r = self.spec.r
-        return (disjoint_path_counts(self.spec.side, alive, r) >= r).all(axis=1)
+        return (disjoint_path_counts(self.spec.side, alive, self.g) >= self.g).all(axis=1)
 
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        return _sample_row_col_union(self.spec.side, self.spec.r, gen)
 
-    def quorum_count(self) -> int:
-        return math.comb(self.spec.side, self.spec.r) ** 2
-
-    def iter_quorum_masks(self) -> Iterator[int]:
-        return _iter_row_col_unions(self.spec.side, self.spec.r)
+_HANDLE_BY_SPEC: dict[type, type[QuorumSystemHandle]] = {
+    MGridSpec: MGridHandle,
+    ThresholdSpec: ThresholdHandle,
+    RTSpec: RTHandle,
+    FPPSpec: FPPHandle,
+    BoostFPPSpec: BoostFPPHandle,
+    MPathSpec: MPathHandle,
+    ComposedSpec: ComposedHandle,
+}
 
 
 def build(spec: ConstructionSpec) -> QuorumSystemHandle:
     """Build a handle for any construction spec."""
-    if isinstance(spec, MGridSpec):
-        return MGridHandle(spec)
-    if isinstance(spec, ThresholdSpec):
-        return ThresholdHandle(spec)
-    if isinstance(spec, RTSpec):
-        return RTHandle(spec)
-    if isinstance(spec, FPPSpec):
-        return FPPHandle(spec)
-    if isinstance(spec, BoostFPPSpec):
-        return BoostFPPHandle(spec)
-    if isinstance(spec, MPathSpec):
-        return MPathHandle(spec)
-    if isinstance(spec, ComposedSpec):
-        return ComposedHandle(build(spec.outer), build(spec.inner), spec)
-    raise ParameterError(f"unknown construction spec {spec!r}")
+    handle_class = _HANDLE_BY_SPEC.get(type(spec))
+    if handle_class is None:
+        raise ParameterError(f"unknown construction spec {spec!r}")
+    return handle_class(spec)

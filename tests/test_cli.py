@@ -114,6 +114,11 @@ class TestFp:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_float_field_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "fp", '{"MGrid": {"side": 4.0, "b": 1}}', "--p", "0.2")
+        assert code == 2
+        assert "MGridSpec.side must be an integer" in err
+
     def test_flow_backed_mpath_defaults_to_mc(self, capsys):
         # MPath(5,2) counts paths level by level; auto mode must not try
         # to enumerate 2^25 subsets through it.
@@ -222,6 +227,8 @@ class TestOracle:
         '{"MGrid": {"side": 3, "b": 0}}',
         '{"MPath": {"side": 4, "b": 1}}',
         '{"Composed": {"outer": {"FPP": {"q": 2}}, "inner": {"Threshold": {"k": 3, "ell": 2}}}}',
+        '{"Composed": {"outer": {"MPath": {"side": 3, "b": 0}}, "inner": {"Threshold": {"k": 3, "ell": 2}}}}',
+        '{"Composed": {"outer": {"Threshold": {"k": 3, "ell": 2}}, "inner": {"MPath": {"side": 3, "b": 0}}}}',
     ])
     def test_clean_constructions_pass(self, capsys, spec):
         code, out, err = run_cli(capsys, "oracle", spec)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -384,6 +385,79 @@ class TestMaterialize:
         assert all(len(q) == 2 * 3 * 5 - 9 for q in system.quorums)
 
 
+def _grid_lines(side):
+    rows = [((1 << side) - 1) << (side * i) for i in range(side)]
+    cols = [sum(1 << (side * i + j) for i in range(side)) for j in range(side)]
+    return rows, cols
+
+
+class TestDrawAndEnumerationOrder:
+    """Seeded draws and enumeration order, re-derived from the grid and the plane."""
+
+    @pytest.mark.parametrize("spec, g", [
+        (mq.MGridSpec(4, 1), 2), (mq.MGridSpec(32, 15), 4),
+        (mq.MPathSpec(5, 2), 3), (mq.MPathSpec(32, 7), 4),
+    ])
+    def test_grid_draws_rows_then_columns(self, spec, g):
+        handle = build(spec)
+        rows, cols = _grid_lines(spec.side)
+        gen, ref = Rng(5).generator(), Rng(5).generator()
+        for _ in range(100):
+            want = 0
+            for i in ref.choice(spec.side, g, replace=False):
+                want |= rows[i]
+            for j in ref.choice(spec.side, g, replace=False):
+                want |= cols[j]
+            assert handle.sample_quorum(gen).mask == want
+
+    @pytest.mark.parametrize("spec, g", [
+        (mq.MGridSpec(4, 1), 2), (mq.MGridSpec(5, 2), 2),
+        (mq.MPathSpec(4, 1), 2), (mq.MPathSpec(5, 2), 3),
+    ])
+    def test_grid_enumerates_row_sets_then_column_sets(self, spec, g):
+        rows, cols = _grid_lines(spec.side)
+        want = [sum(ri) | sum(cj)
+                for ri in combinations(rows, g) for cj in combinations(cols, g)]
+        assert list(build(spec).iter_quorum_masks()) == want
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_fpp_draws_one_line_per_integer(self, q):
+        lines = mq.fpp_lines(q).quorums
+        handle = build(mq.FPPSpec(q))
+        gen, ref = Rng(6).generator(), Rng(6).generator()
+        for _ in range(200):
+            assert handle.sample_quorum(gen) == lines[ref.integers(len(lines))]
+
+    @pytest.mark.parametrize("q, b", [(2, 1), (3, 19)])
+    def test_boostfpp_draws_a_line_then_one_block_per_point(self, q, b):
+        lines = mq.fpp_lines(q).quorums
+        k, ell = 4 * b + 1, 3 * b + 1
+        handle = build(mq.BoostFPPSpec(q, b))
+        gen, ref = Rng(7).generator(), Rng(7).generator()
+        for _ in range(50):
+            want = 0
+            for point in lines[ref.integers(len(lines))].members():
+                for i in ref.choice(k, ell, replace=False):
+                    want |= 1 << (point * k + int(i))
+            assert handle.sample_quorum(gen).mask == want
+
+    def test_fpp_plane_built_once_per_handle(self, monkeypatch):
+        calls = []
+        plane = mq.constructions.fpp_lines
+
+        def counting_plane(q):
+            calls.append(q)
+            return plane(q)
+
+        monkeypatch.setattr(mq.constructions, "fpp_lines", counting_plane)
+        for spec in (mq.FPPSpec(3), mq.BoostFPPSpec(2, 1)):
+            handle = build(spec)
+            handle.live_batch(np.ones((4, handle.n), dtype=bool))
+            handle.sample_quorum(Rng(0).generator())
+            handle.materialize(10 ** 4)
+        assert calls == [3, 2]
+
+
 class TestSpecJson:
     @pytest.mark.parametrize("spec", [
         mq.MGridSpec(32, 15),
@@ -402,5 +476,10 @@ class TestSpecJson:
             mq.spec_from_json({"Pyramid": {"side": 3}})
 
     def test_rejects_bad_fields(self):
-        with pytest.raises(ParameterError):
-            mq.spec_from_json({"MGrid": {"side": 4}})
+        for obj in [{"MGrid": {"side": 4}},
+                    {"RT": {"k": 3, "ell": 2, "h": 1.5}},
+                    {"MGrid": {"side": 4.0, "b": 1}},
+                    {"Threshold": {"k": True, "ell": True}},
+                    {"BoostFPP": {"q": 3, "b": 1.0}}]:
+            with pytest.raises(ParameterError):
+                mq.spec_from_json(obj)
