@@ -37,6 +37,7 @@ from .availability import (
     crash_profile,
     fp_lower_bounds,
     interior_bound,
+    mgrid_fp_exact,
     mgrid_fp_lower,
     mpath_fp_upper,
     mpath_lr_failure_upper,

@@ -1,13 +1,16 @@
 """Crash probability of quorum systems: exact, Monte Carlo, and analytic bounds.
 
-The exact path enumerates all 2^n crash sets once per handle or explicit
-system object, tallying how many crash sets of each cardinality kill the
-system; the crash probability at any p is then the exact polynomial
-sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and Monte Carlo share one live
-predicate, ``live_batch`` on a (T, n) boolean matrix, for handles and
-explicit systems alike; Monte Carlo uses counter-based randomness, so
-estimates are bit-identical for a given seed regardless of chunking or
-thread count.
+The exact path first asks the handle for its closed form (threshold binomial
+tail, the recursive-threshold recurrence, inclusion-exclusion over the full
+rows and columns of MGrid, F_outer(F_inner(p)) for a composition).  Only
+systems without one (explicit systems, FPP, MPath) have their 2^n crash sets
+enumerated, once per handle or explicit system object, tallying how many
+crash sets of each cardinality kill the system; the crash probability at any
+p is then the exact polynomial sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and
+Monte Carlo share one live predicate, ``live_batch`` on a (T, n) boolean
+matrix, for handles and explicit systems alike; Monte Carlo uses
+counter-based randomness, so estimates are bit-identical for a given seed
+regardless of chunking or thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._bitops import ceil_sqrt, popcount, unpack_masks
-from .constructions import QuorumSystemHandle, ThresholdSpec, _require_prime
+from .constructions import (
+    EXACT_MAX_N, MGridSpec, QuorumSystemHandle, ThresholdSpec, _require_prime,
+)
 from .core import ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
 
@@ -30,11 +35,10 @@ __all__ = [
     "FpLowerBounds", "fp_lower_bounds", "ThresholdG", "threshold_g",
     "rt_fp_recurrence", "CriticalProbability", "rt_critical_probability",
     "rt_fp_upper", "BoostFppBound", "boostfpp_fp_upper", "mgrid_fp_lower",
-    "mpath_lr_failure_upper", "interior_bound", "mpath_fp_upper",
+    "mgrid_fp_exact", "mpath_lr_failure_upper", "interior_bound", "mpath_fp_upper",
     "binom_ratio_check",
 ]
 
-EXACT_MAX_N = 25
 _ENUM_CHUNK = 1 << 20
 # Raw draws per Monte Carlo chunk: 2 MB of words and 256 KB of crash
 # indicators, small enough to stay in cache (256 trials at n = 1024).
@@ -53,6 +57,7 @@ class EstimateResult:
 
     value: float
     kind: str  # "exact" or "monte_carlo"
+    route: str  # "closed_form", "enumeration" or "monte_carlo"
     trials: int | None = None
     std_error: float | None = None
     seed: int | None = None
@@ -99,14 +104,21 @@ def crash_profile(target: ExplicitQuorumSystem | QuorumSystemHandle) -> np.ndarr
 def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
                      p: float) -> EstimateResult:
     """Exact crash probability: the chance that every quorum is hit when each
-    server crashes independently with probability p.  Requires n <= 25.
+    server crashes independently with probability p.
+
+    From the target's closed form at any n where it has one; otherwise by
+    enumeration, which requires n <= 25.
     """
     _check_probability(p)
-    n = target.n
-    profile = crash_profile(target)
-    d = np.arange(n + 1)
-    value = float(np.sum(profile * np.power(p, d) * np.power(1.0 - p, n - d)))
-    return EstimateResult(value=min(max(value, 0.0), 1.0), kind="exact")
+    value = target.closed_form_crash_prob(p)
+    route = "closed_form"
+    if value is None:
+        n = target.n
+        profile = crash_profile(target)
+        d = np.arange(n + 1)
+        value = float(np.sum(profile * np.power(p, d) * np.power(1.0 - p, n - d)))
+        route = "enumeration"
+    return EstimateResult(value=min(max(value, 0.0), 1.0), kind="exact", route=route)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -158,9 +170,9 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             crashed = sum(pool.map(crashed_in, ranges))
     value = crashed / trials
-    return EstimateResult(value=value, kind="monte_carlo", trials=trials,
-                          std_error=math.sqrt(value * (1.0 - value) / trials),
-                          seed=seed)
+    return EstimateResult(value=value, kind="monte_carlo", route="monte_carlo",
+                          trials=trials, seed=seed,
+                          std_error=math.sqrt(value * (1.0 - value) / trials))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +329,39 @@ def mgrid_fp_lower(side: int, p: float) -> float:
         raise ParameterError(f"side must be >= 1, got {side}")
     _check_probability(p)
     return (1.0 - (1.0 - p) ** side) ** side
+
+
+def mgrid_fp_exact(side: int, b: int, p: float) -> float:
+    """Exact crash probability of MGrid(side, b): the chance that fewer than
+    g = ceil(sqrt(b+1)) rows or fewer than g columns are fully alive.
+
+    By inclusion-exclusion over full rows and columns, P(live) is
+    sum_{a,c >= g} (-1)^(a+c) C(a-1,g-1) C(c-1,g-1) C(s,a) C(s,c) q^(s^2 - uv)
+    with s = side, q = 1-p, u = s-a and v = s-c.  The double p is exactly m / 2^e, so
+    the sum is one integer over 2^(e s^2), rounded to a float only at the end:
+    the alternating terms cancel far below double precision.
+    """
+    g = MGridSpec(side, b).g
+    _check_probability(p)
+    crashed, scale = p.as_integer_ratio()
+    e = scale.bit_length() - 1
+    alive = scale - crashed  # q = alive / 2^e
+    weight = [(-1) ** a * math.comb(a - 1, g - 1) * math.comb(side, a)
+              for a in range(g, side + 1)]
+    # coef[j] gathers the terms with uv = j, whose power of q is s^2 - j.
+    span = (side - g) ** 2
+    coef = [0] * (span + 1)
+    for u, wa in enumerate(reversed(weight)):
+        for v, wc in enumerate(reversed(weight)):
+            coef[u * v] += wa * wc
+    # Horner in q: sum_j coef[j] alive^(span-j) 2^(e j), then the common
+    # factor alive^(s^2 - span).
+    live = 0
+    for j, c in enumerate(coef):
+        live = live * alive + (c << (e * j))
+    live *= alive ** (side * side - span)
+    total = 1 << (e * side * side)
+    return (total - live) / total
 
 
 def mpath_lr_failure_upper(side: int, p: float) -> float:

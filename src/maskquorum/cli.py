@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,6 @@ from .analysis import (
     load_lp,
 )
 from .availability import (
-    EXACT_MAX_N,
     EstimateResult,
     _check_probability,
     boostfpp_fp_upper,
@@ -121,7 +121,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _estimate_dict(est: EstimateResult) -> dict:
-    out = {"value": _fmt6(est.value), "kind": est.kind}
+    out = {"value": _fmt6(est.value), "kind": est.kind, "route": est.route}
     if est.kind == "monte_carlo":
         out.update(trials=est.trials, std_error=_fmt6(est.std_error), seed=est.seed)
     return out
@@ -153,15 +153,7 @@ def _cmd_fp(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     handle = build(spec)
     p = args.p
-    # Default mode: exact when the enumeration is tractable, Monte Carlo
-    # otherwise.  Crossing-path systems with r >= 2 count paths level by level:
-    # at side 5 the predicate took 0.45 s per 2^20 subsets at cap 1 (flood
-    # fill), 0.87 s at cap 2 and 1.03 s at cap 3 on a 2-vCPU Xeon, so auto-exact
-    # is limited to 2^16 subsets there; --exact still forces full enumeration.
-    path_counted = isinstance(spec, MPathSpec) and spec.r > 1
-    auto_exact = handle.n <= (16 if path_counted else EXACT_MAX_N)
-    use_exact = args.exact or (not args.mc and auto_exact)
-    if use_exact:
+    if args.exact or (not args.mc and handle.exact_by_default):
         est = crash_prob_exact(handle, p)
     else:
         est = crash_prob_mc(handle, p, trials=args.trials, seed=args.seed,
@@ -209,7 +201,12 @@ def _table8_rows(p: float, n: int) -> list[dict]:
     p_prime = 1.0 / 7.0 if published_point else None
     rows = []
     for tag, spec, kind, bound in specs:
-        params = build(spec).params
+        handle = build(spec)
+        params = handle.params
+        try:
+            fp_exact = _fmt6(crash_prob_exact(handle, p).value)
+        except SizeError:  # no closed form, and too large to enumerate
+            fp_exact = None
         rows.append({
             "system": "-".join([tag] + [str(v) for v in spec.__dict__.values()]),
             "n": params.n,
@@ -219,6 +216,7 @@ def _table8_rows(p: float, n: int) -> list[dict]:
             "fp_kind": kind,
             "fp_value": _construction_bounds(spec, p, p_prime).get(bound),
             "paper_value": _PAPER_TABLE[tag] if published_point else None,
+            "fp_exact": fp_exact,
         })
     return rows
 
@@ -229,7 +227,8 @@ def _cmd_table8(args: argparse.Namespace) -> int:
         _emit({"p": args.p, "n": args.n, "rows": rows, "notes": [RESILIENCE_NOTE]})
         return 0
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = ["system", "n", "b", "f", "load", "fp_kind", "fp_value", "paper_value"]
+    header = ["system", "n", "b", "f", "load", "fp_kind", "fp_value", "paper_value",
+              "fp_exact"]
     writer.writerow(header)
     for row in rows:
         writer.writerow(["" if row[k] is None else row[k] for k in header])
@@ -297,6 +296,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maskquorum",

@@ -158,6 +158,10 @@ class ExplicitQuorumSystem:
         words.setflags(write=False)
         return words
 
+    def closed_form_crash_prob(self, p: float) -> None:
+        """An explicit system has no closed form: crash_prob_exact enumerates."""
+        return None
+
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
         """Vectorised live predicate on a (T, n) boolean matrix, for any n."""
         if alive.ndim != 2 or alive.shape[1] != self.n:

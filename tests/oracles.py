@@ -118,3 +118,20 @@ def _mask(indices) -> int:
     for i in indices:
         out |= 1 << i
     return out
+
+
+def mgrid_crash_probability(side: int, g: int, p: float) -> float:
+    """Inclusion-exclusion over full rows and columns, term by term in exact
+    rationals: P(live) sums (-1)^(a+c) C(a-1,g-1) C(c-1,g-1) C(side,a)
+    C(side,c) (1-p)^(side(a+c)-ac) over a, c >= g."""
+    from fractions import Fraction
+    from math import comb
+
+    alive = 1 - Fraction(p)
+    live = Fraction(0)
+    for a in range(g, side + 1):
+        for c in range(g, side + 1):
+            term = (comb(a - 1, g - 1) * comb(c - 1, g - 1) * comb(side, a) * comb(side, c)
+                    * alive ** (side * (a + c) - a * c))
+            live += -term if (a + c) % 2 else term
+    return float(1 - live)

@@ -10,11 +10,19 @@ from maskquorum.availability import crash_profile
 from maskquorum.errors import ApplicabilityError, ParameterError, SizeError
 from maskquorum.paths import LR, TB, TriGrid, connected_batch
 
-from oracles import brute_crash_probability, packing_disjoint_paths
+from oracles import brute_crash_probability, mgrid_crash_probability, packing_disjoint_paths
 
 
 def exact(target, p):
     return mq.crash_prob_exact(target, p).value
+
+
+def by_enumeration(target, p):
+    """Crash probability from the 2^n crash profile, whatever route
+    crash_prob_exact takes."""
+    n = target.n
+    return sum(int(kills) * p ** d * (1.0 - p) ** (n - d)
+               for d, kills in enumerate(crash_profile(target)))
 
 
 def _slow_mpath(handle) -> bool:
@@ -61,8 +69,9 @@ class TestCrashProbExact:
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:])), name
 
     def test_size_error_directs_to_mc(self):
+        # FPP(5) (n = 31) has no closed form, so it would need 2^31 subsets.
         with pytest.raises(SizeError, match="crash_prob_mc"):
-            mq.crash_prob_exact(build(mq.MGridSpec(6, 2)), 0.1)
+            mq.crash_prob_exact(build(mq.FPPSpec(5)), 0.1)
 
     def test_exceeds_lower_bounds(self, handles):
         for name, handle in handles.items():
@@ -93,8 +102,8 @@ class TestProfileMemo:
 
     def test_handle_enumerates_once(self, enumerated):
         handle = build(mq.ThresholdSpec(3, 2))
-        exact(handle, 0.2)
-        exact(handle, 0.7)
+        crash_profile(handle)
+        crash_profile(handle)
         assert enumerated == [handle]
 
     def test_explicit_system_enumerates_once(self, enumerated):
@@ -220,7 +229,7 @@ class TestThresholdG:
             handle = build(mq.ThresholdSpec(k, ell))
             for p in (0.1, 0.35, 0.6):
                 assert mq.threshold_g(k, ell, p).exact == pytest.approx(
-                    exact(handle, p), abs=1e-12)
+                    by_enumeration(handle, p), abs=1e-12)
 
 
 class TestRtRecurrence:
@@ -240,7 +249,7 @@ class TestRtRecurrence:
             handle = build(mq.RTSpec(k, ell, h))
             for p in (0.1, 0.3, 0.6):
                 assert mq.rt_fp_recurrence(k, ell, h, p) == pytest.approx(
-                    exact(handle, p), abs=1e-12)
+                    by_enumeration(handle, p), abs=1e-12)
 
     def test_s_shape_monotone_in_depth(self):
         # Below the fixed point the recurrence decreases strictly with depth,
@@ -498,3 +507,84 @@ class TestMpathExact:
             if min(packing_disjoint_paths(grid, alive_mask, o) for o in (LR, TB)) < 2:
                 want[9 - alive_mask.bit_count()] += 1
         assert np.array_equal(crash_profile(build(mq.MPathSpec(3, 1))), want)
+
+
+# Systems with a closed form small enough to enumerate, beside the roster:
+# compositions whose parts have none, and BoostFPP at b = 0.
+CLOSED_FORM_EXTRAS = {
+    "MPath(2,0) o Threshold(3,2)": mq.ComposedSpec(mq.MPathSpec(2, 0), mq.ThresholdSpec(3, 2)),
+    "Threshold(3,2) o MPath(2,0)": mq.ComposedSpec(mq.ThresholdSpec(3, 2), mq.MPathSpec(2, 0)),
+    "FPP(2) o Threshold(3,2)": mq.ComposedSpec(mq.FPPSpec(2), mq.ThresholdSpec(3, 2)),
+    "BoostFPP(2,0)": mq.BoostFPPSpec(2, 0),
+}
+
+
+class TestClosedForms:
+    P_GRID = (0.05, 0.125, 0.3, 0.5, 0.9)
+
+    def test_matches_enumeration(self, handles):
+        targets = dict(handles)
+        targets.update((name, build(spec)) for name, spec in CLOSED_FORM_EXTRAS.items())
+        checked = []
+        for name, handle in targets.items():
+            if handle.n > 25 or handle.closed_form_crash_prob(0.5) is None:
+                continue
+            checked.append(name)
+            for p in self.P_GRID:
+                est = mq.crash_prob_exact(handle, p)
+                assert est.route == "closed_form", name
+                want = by_enumeration(handle, p)
+                assert est.value == pytest.approx(want, abs=1e-12), (name, p)
+        # 11 roster systems and the 4 extras: none is skipped by accident.
+        assert len(checked) == 15
+
+    def test_routes(self, handles):
+        for name in ("FPP(2)", "MPath(4,1)"):
+            assert handles[name].closed_form_crash_prob(0.5) is None, name
+            assert mq.crash_prob_exact(handles[name], 0.5).route == "enumeration", name
+        system = ExplicitQuorumSystem.from_masks(3, [0b011, 0b101, 0b110])
+        assert mq.crash_prob_exact(system, 0.5).route == "enumeration"
+
+    def test_mgrid_matches_rational_sum(self):
+        # Term by term in rationals, at dyadic p where that stays fast; g = 3
+        # and g = 4 are past every enumerable grid.
+        for side, b in ((9, 4), (32, 15)):
+            g = mq.MGridSpec(side, b).g
+            for p in (1 / 32, 1 / 16, 1 / 8):
+                assert mq.mgrid_fp_exact(side, b, p) == pytest.approx(
+                    mgrid_crash_probability(side, g, p), rel=1e-14, abs=0), (side, b, p)
+
+    def test_mgrid_endpoints(self):
+        assert mq.mgrid_fp_exact(32, 15, 0.0) == 0.0
+        assert mq.mgrid_fp_exact(32, 15, 1.0) == 1.0
+        with pytest.raises(ParameterError):
+            mq.mgrid_fp_exact(32, 16, 0.1)
+
+    def test_published_bounds_point_the_right_way(self):
+        p = 1 / 8
+        mgrid = mq.crash_prob_exact(build(mq.MGridSpec(32, 15)), p)
+        rt = mq.crash_prob_exact(build(mq.RTSpec(4, 3, 5)), p)
+        boost = mq.crash_prob_exact(build(mq.BoostFPPSpec(3, 19)), p)
+        assert {mgrid.route, rt.route, boost.route} == {"closed_form"}
+        assert mq.mgrid_fp_lower(32, p) <= mgrid.value
+        assert rt.value <= mq.rt_fp_upper(4, 3, 5, p)
+        assert boost.value <= mq.boostfpp_fp_upper(3, 19, p).paper_form
+
+    def test_composed_part_without_route_refuses_past_cap(self):
+        # FPP(5) has no closed form and n = 31: the size error is the part's.
+        handle = build(mq.ComposedSpec(mq.FPPSpec(5), mq.ThresholdSpec(3, 2)))
+        with pytest.raises(SizeError, match="n=31"):
+            mq.crash_prob_exact(handle, 0.1)
+        assert not handle.exact_by_default
+
+    @pytest.mark.parametrize("spec, p", [
+        (mq.MGridSpec(32, 15), 0.05),
+        (mq.RTSpec(4, 3, 5), 0.23),
+    ], ids=["MGrid(32,15)", "RT(4,3,5)"])
+    def test_mc_agrees_at_n1024(self, spec, p):
+        handle = build(spec)
+        want = mq.crash_prob_exact(handle, p).value
+        trials = 10 ** 5
+        est = mq.crash_prob_mc(handle, p, trials=trials, seed=1, workers=1)
+        sigma = math.sqrt(want * (1.0 - want) / trials)
+        assert abs(est.value - want) <= 4 * sigma

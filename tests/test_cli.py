@@ -19,6 +19,8 @@ THRESHOLD32 = '{"Threshold": {"k": 3, "ell": 2}}'
 # About 1.3e9 outer quorums: anything that walks them does not finish.
 LARGE_COMPOSED = ('{"Composed": {"outer": {"MGrid": {"side": 32, "b": 15}}, '
                   '"inner": {"Threshold": {"k": 3, "ell": 2}}}}')
+# A projective plane past the enumeration cap (n = 31), with no closed form.
+FPP5 = '{"FPP": {"q": 5}}'
 
 
 class TestParams:
@@ -85,18 +87,46 @@ class TestFp:
         assert payload["estimate"]["value"] == pytest.approx(0.5, abs=1e-9)
 
     def test_defaults_to_mc_when_large(self, capsys):
-        code, out, _ = run_cli(capsys, "fp", '{"RT": {"k": 4, "ell": 3, "h": 5}}',
+        # FPP(5) has no closed form and n = 31 is past the enumeration cap.
+        code, out, _ = run_cli(capsys, "fp", FPP5,
                                "--p", "0.05", "--trials", "2000", "--seed", "11")
         assert code == 0
         payload = json.loads(out)
         assert payload["estimate"]["kind"] == "monte_carlo"
         assert payload["estimate"]["seed"] == 11
 
+    def test_closed_form_defaults_to_exact_when_large(self, capsys):
+        code, out, _ = run_cli(capsys, "fp", '{"RT": {"k": 4, "ell": 3, "h": 5}}',
+                               "--p", "0.05", "--trials", "2000", "--seed", "11")
+        assert code == 0
+        estimate = json.loads(out)["estimate"]
+        assert estimate["kind"] == "exact"
+        assert estimate["route"] == "closed_form"
+        assert estimate["value"] == pytest.approx(
+            mq.rt_fp_recurrence(4, 3, 5, 0.05), rel=1e-5)
+
     def test_exact_refused_when_large(self, capsys):
-        code, _, err = run_cli(capsys, "fp", '{"RT": {"k": 4, "ell": 3, "h": 5}}',
-                               "--p", "0.05", "--exact")
+        code, _, err = run_cli(capsys, "fp", FPP5, "--p", "0.05", "--exact")
         assert code == 3
         assert "crash_prob_mc" in err
+
+    @pytest.mark.parametrize("spec, mode, route", [
+        (THRESHOLD32, "--exact", "closed_form"),
+        ('{"RT": {"k": 4, "ell": 3, "h": 5}}', "--exact", "closed_form"),
+        ('{"MGrid": {"side": 32, "b": 15}}', "--exact", "closed_form"),
+        ('{"BoostFPP": {"q": 3, "b": 19}}', "--exact", "closed_form"),
+        (LARGE_COMPOSED, "--exact", "closed_form"),
+        ('{"FPP": {"q": 3}}', "--exact", "enumeration"),
+        ('{"MPath": {"side": 3, "b": 1}}', "--exact", "enumeration"),
+        ('{"MGrid": {"side": 4, "b": 1}}', "--mc", "monte_carlo"),
+    ], ids=["Threshold", "RT", "MGrid", "BoostFPP", "Composed", "FPP", "MPath", "mc"])
+    def test_route_reported(self, capsys, spec, mode, route):
+        code, out, err = run_cli(capsys, "fp", spec, "--p", "0.125", mode,
+                                 "--trials", "2000")
+        assert code == 0, err
+        estimate = json.loads(out)["estimate"]
+        assert estimate["route"] == route
+        assert estimate["kind"] == ("monte_carlo" if mode == "--mc" else "exact")
 
     def test_bounds_flag(self, capsys):
         code, out, _ = run_cli(capsys, "fp", '{"MGrid": {"side": 4, "b": 1}}',
@@ -167,7 +197,7 @@ class TestTable8:
         code, out, _ = run_cli(capsys, "table8")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "system,n,b,f,load,fp_kind,fp_value,paper_value"
+        assert lines[0] == "system,n,b,f,load,fp_kind,fp_value,paper_value,fp_exact"
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         assert len(rows) == 4
         mgrid = rows["MGrid-32-15"]
@@ -183,6 +213,21 @@ class TestTable8:
         assert mpath[2:4] == ["7", "28"]
         assert float(mpath[6]) <= 0.001
         assert [r[7] for r in rows.values()] == ["0.638", "0.0001", "0.372", "0.001"]
+
+    def test_exact_column(self, capsys):
+        # Closed forms for three rows; MPath has none and n = 1024 is too
+        # large to enumerate, so its cell is empty.
+        code, out, _ = run_cli(capsys, "table8")
+        assert code == 0
+        rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
+        p = 0.125
+        mgrid = mq.mgrid_fp_exact(32, 15, p)
+        assert float(rows["MGrid-32-15"][8]) == pytest.approx(mgrid, rel=1e-5)
+        rt = mq.rt_fp_recurrence(4, 3, 5, p)
+        assert float(rows["RT-4-3-5"][8]) == pytest.approx(rt, rel=1e-5)
+        boost = mq.crash_prob_exact(mq.build(mq.BoostFPPSpec(3, 19)), p).value
+        assert float(rows["BoostFPP-3-19"][8]) == pytest.approx(boost, rel=1e-5)
+        assert rows["MPath-32-7"][8] == ""
 
     def test_byte_stable(self, capsys):
         _, out1, _ = run_cli(capsys, "table8")
