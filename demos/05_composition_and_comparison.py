@@ -27,13 +27,21 @@ for p in (0.1, 0.25):
     print(f"  p={p:.2f}: F(composition)={whole:.6f}  s(r(p))={s_r:.6f}")
 
 # The four constructions at the published comparison point: 1024 servers,
-# crash probability 1/8 per server.  (The CLI renders the same table:
-# `maskquorum table8`.)
-from maskquorum.cli import _table8_rows
-
-print(f"\n{'system':<18} {'b':>3} {'f':>3} {'load':>9} {'kind':>6} "
-      f"{'F_p value':>11} {'published':>10}")
-for row in _table8_rows(p=0.125, n=1024):
-    print(f"{row['system']:<18} {row['b']:>3} {row['f']:>3} {row['load']:>9.4f} "
-          f"{row['fp_kind']:>6} {row['fp_value']:>11.3g} {row['paper_value']:>10}")
+# crash probability 1/8 per server, the crossing-paths bound taken at
+# p' = 1/7 as in the published table.  Each handle names its own bounds;
+# `maskquorum table8` prints the same comparison.
+published = [
+    ("MGrid(32,15)", mq.MGridSpec(32, 15), "mgrid_fp_lower", 0.638),
+    ("RT(4,3,5)", mq.RTSpec(4, 3, 5), "rt_fp_upper", 0.0001),
+    ("BoostFPP(3,19)", mq.BoostFPPSpec(3, 19), "boostfpp_fp_upper", 0.372),
+    ("MPath(32,7)", mq.MPathSpec(32, 7), "mpath_fp_upper", 0.001),
+]
+print(f"\n{'system':<16} {'b':>3} {'f':>3} {'load':>7} {'bound':>18} "
+      f"{'F_p value':>10} {'published':>10}")
+for label, spec, bound, paper in published:
+    handle = mq.build(spec)
+    params = handle.params
+    value = handle.published_bounds(1 / 8, 1 / 7)[bound]
+    print(f"{label:<16} {params.b:>3} {params.f:>3} {params.load:>7.4f} {bound:>18} "
+          f"{value:>10.3g} {paper:>10}")
 print("\n(The crossing-paths row reports f = 28; the published table prints 29.)")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ._bitops import ceil_sqrt, popcount, unpack_masks
 from .constructions import (
@@ -243,7 +244,7 @@ class CriticalProbability(NamedTuple):
 
 
 def rt_critical_probability(k: int, ell: int, tol: float = 1e-10) -> CriticalProbability:
-    """The unique fixed point of the block crash function in (0, 1), by bisection.
+    """The unique fixed point of the block crash function in (0, 1), by Brent's method.
 
     ``below_half`` reports whether the root is numerically below 1/2 (checked
     per instance, never assumed); majority-of-3 for example sits exactly at
@@ -262,13 +263,7 @@ def rt_critical_probability(k: int, ell: int, tol: float = 1e-10) -> CriticalPro
     if not (gap(lo) < 0.0 < gap(hi)):
         raise NumericalError("failed to bracket the critical probability")
     tol_eff = min(tol, 1e-10)
-    while hi - lo > tol_eff:
-        mid = (lo + hi) / 2.0
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    value = (lo + hi) / 2.0
+    value = brentq(gap, lo, hi, xtol=tol_eff)
     return CriticalProbability(value=value, below_half=value < 0.5 - tol_eff)
 
 

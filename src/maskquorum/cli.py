@@ -34,18 +34,7 @@ from .analysis import (
     is_fair,
     load_lp,
 )
-from .availability import (
-    EstimateResult,
-    _check_probability,
-    boostfpp_fp_upper,
-    crash_prob_exact,
-    crash_prob_mc,
-    fp_lower_bounds,
-    mgrid_fp_lower,
-    mpath_fp_upper,
-    rt_critical_probability,
-    rt_fp_upper,
-)
+from .availability import EstimateResult, crash_prob_exact, crash_prob_mc
 from .constructions import (
     BoostFPPSpec,
     ComposedSpec,
@@ -72,11 +61,18 @@ RESILIENCE_NOTE = (
     "MPath(32,7): f = a_min - 1 = 28; the published table prints 29 for this row."
 )
 
-_PAPER_TABLE = {"MGrid": 0.638, "RT": 0.0001, "BoostFPP": 0.372, "MPath": 0.001}
+# The published comparison: each system, the direction and name of its
+# published bound, and the value the table prints at p = 1/8.
+_TABLE8_ROWS = [
+    (MGridSpec(side=32, b=15), "lower", "mgrid_fp_lower", 0.638),
+    (RTSpec(k=4, ell=3, h=5), "upper", "rt_fp_upper", 0.0001),
+    (BoostFPPSpec(q=3, b=19), "upper", "boostfpp_fp_upper", 0.372),
+    (MPathSpec(side=32, b=7), "upper", "mpath_fp_upper", 0.001),
+]
 
 
-def _fmt6(x: float) -> float:
-    return float(f"{x:.6g}")
+def _fmt6(x: float | None) -> float | None:
+    return None if x is None else float(f"{x:.6g}")
 
 
 def _load_spec(arg: str) -> ConstructionSpec:
@@ -127,31 +123,8 @@ def _estimate_dict(est: EstimateResult) -> dict:
     return out
 
 
-def _construction_bounds(spec: ConstructionSpec, p: float, p_prime: float | None) -> dict:
-    out: dict = {}
-    try:
-        if isinstance(spec, MGridSpec):
-            out["mgrid_fp_lower"] = _fmt6(mgrid_fp_lower(spec.side, p))
-        elif isinstance(spec, RTSpec):
-            out["rt_fp_upper"] = _fmt6(rt_fp_upper(spec.k, spec.ell, spec.h, p))
-            pc = rt_critical_probability(spec.k, spec.ell, tol=1e-10)
-            out["rt_critical_probability"] = _fmt6(pc.value)
-        elif isinstance(spec, BoostFPPSpec):
-            bound = boostfpp_fp_upper(spec.q, spec.b, p)
-            out["boostfpp_fp_upper"] = _fmt6(bound.paper_form)
-            out["boostfpp_fp_upper_chernoff"] = _fmt6(bound.chernoff_form)
-        elif isinstance(spec, MPathSpec):
-            pp = p_prime if p_prime is not None else (p + 1.0 / 3.0) / 2.0
-            out["p_prime"] = _fmt6(pp)
-            out["mpath_fp_upper"] = _fmt6(mpath_fp_upper(spec.side, spec.b, p, pp))
-    except (ApplicabilityError, ParameterError) as exc:
-        out["inapplicable"] = str(exc)
-    return out
-
-
 def _cmd_fp(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    handle = build(spec)
+    handle = build(_load_spec(args.spec))
     p = args.p
     if args.exact or (not args.mc and handle.exact_by_default):
         est = crash_prob_exact(handle, p)
@@ -160,13 +133,8 @@ def _cmd_fp(args: argparse.Namespace) -> int:
                             workers=args.workers)
     out = {"p": p, "estimate": _estimate_dict(est)}
     if args.bounds:
-        lower = fp_lower_bounds(handle.params, p)
-        out["bounds"] = {
-            "p_mt": _fmt6(lower.p_mt),
-            "p_c2f": _fmt6(lower.p_c2f),
-            "p_f": None if lower.p_f is None else _fmt6(lower.p_f),
-        }
-        out["bounds"].update(_construction_bounds(spec, p, args.p_prime))
+        bounds = handle.published_bounds(p, args.p_prime)
+        out["bounds"] = {k: v if k == "inapplicable" else _fmt6(v) for k, v in bounds.items()}
     _emit(out)
     return 0
 
@@ -189,33 +157,28 @@ def _table8_rows(p: float, n: int) -> list[dict]:
     if n != 1024:
         raise ParameterError(
             "the published comparison is defined for n=1024 only")
-    # _construction_bounds reports a bad p as inapplicable; reject it here.
-    _check_probability(p)
-    specs = [
-        ("MGrid", MGridSpec(side=32, b=15), "lower", "mgrid_fp_lower"),
-        ("RT", RTSpec(k=4, ell=3, h=5), "upper", "rt_fp_upper"),
-        ("BoostFPP", BoostFPPSpec(q=3, b=19), "upper", "boostfpp_fp_upper"),
-        ("MPath", MPathSpec(side=32, b=7), "upper", "mpath_fp_upper"),
-    ]
+    # The published MPath value is the crossing-paths bound taken at p' = 1/7,
+    # so the published point uses that p'; elsewhere the handle's default.
     published_point = p == 0.125
     p_prime = 1.0 / 7.0 if published_point else None
     rows = []
-    for tag, spec, kind, bound in specs:
+    for spec, kind, bound, paper_value in _TABLE8_ROWS:
         handle = build(spec)
         params = handle.params
         try:
             fp_exact = _fmt6(crash_prob_exact(handle, p).value)
         except SizeError:  # no closed form, and too large to enumerate
             fp_exact = None
+        [(tag, fields)] = spec_to_json(spec).items()
         rows.append({
-            "system": "-".join([tag] + [str(v) for v in spec.__dict__.values()]),
+            "system": "-".join([tag] + [str(v) for v in fields.values()]),
             "n": params.n,
             "b": params.b,
             "f": params.f,
             "load": _fmt6(params.load),
             "fp_kind": kind,
-            "fp_value": _construction_bounds(spec, p, p_prime).get(bound),
-            "paper_value": _PAPER_TABLE[tag] if published_point else None,
+            "fp_value": _fmt6(handle.published_bounds(p, p_prime).get(bound)),
+            "paper_value": paper_value if published_point else None,
             "fp_exact": fp_exact,
         })
     return rows

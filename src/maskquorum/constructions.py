@@ -8,7 +8,8 @@ a composition.  MPath materializes only its straight-path quorums, so it and
 every composition containing it report lists_every_quorum = False.
 Threshold, RT, MGrid and every composition give their exact crash
 probability in closed form (closed_form_crash_prob); FPP and MPath leave it to
-2^n enumeration.
+2^n enumeration.  Each handle also names its published crash-probability
+bounds (published_bounds): the general lower bounds, plus its family's own.
 
 Canonical element numbering: grid cell (i, j) -> i*side + j (0-based);
 recursive-threshold leaves are numbered left to right; in a composition the
@@ -28,7 +29,7 @@ import numpy as np
 from ._bitops import bools_to_int, ceil_sqrt, iter_bits
 from .composition import compose_params, iter_composed_masks
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
-from .errors import ParameterError, SizeError, UnsupportedOrderError
+from .errors import ApplicabilityError, ParameterError, SizeError, UnsupportedOrderError
 from .paths import disjoint_path_counts
 
 __all__ = [
@@ -274,12 +275,31 @@ class QuorumSystemHandle:
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # The closed forms live in availability, which imports this module, so
-    # the overrides import them when called.
+    # The closed forms and bounds live in availability, which imports this
+    # module, so the methods import them when called.
     def closed_form_crash_prob(self, p: float) -> float | None:
         """Exact crash probability at p from the construction's closed form,
         or None when it has none and crash_prob_exact enumerates instead."""
         return None
+
+    def published_bounds(self, p: float, p_prime: float | None = None) -> dict:
+        """Every published crash-probability bound at p, by name: p_mt, p_c2f
+        and p_f (None where its condition fails), then the family's own.  A
+        family bound whose precondition fails leaves its reason under
+        "inapplicable"; entries before it stay.  p_prime is the reference
+        probability of MPath's bound, by default midway between p and 1/3."""
+        from .availability import fp_lower_bounds
+        lower = fp_lower_bounds(self.params, p)
+        out = {"p_mt": lower.p_mt, "p_c2f": lower.p_c2f, "p_f": lower.p_f}
+        try:
+            for name, value in self._family_bounds(p, p_prime):
+                out[name] = value
+        except (ApplicabilityError, ParameterError) as exc:
+            out["inapplicable"] = str(exc)
+        return out
+
+    def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
+        return iter(())
 
     @property
     def exact_by_default(self) -> bool:
@@ -400,6 +420,10 @@ class MGridHandle(_RowColumnHandle):
         from .availability import mgrid_fp_exact
         return mgrid_fp_exact(self.spec.side, self.spec.b, p)
 
+    def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
+        from .availability import mgrid_fp_lower
+        yield "mgrid_fp_lower", mgrid_fp_lower(self.spec.side, p)
+
 
 class RTHandle(QuorumSystemHandle):
     """Depth-h recursion of the ell-of-k threshold over k^h leaves."""
@@ -430,6 +454,12 @@ class RTHandle(QuorumSystemHandle):
     def closed_form_crash_prob(self, p: float) -> float:
         from .availability import rt_fp_recurrence
         return rt_fp_recurrence(self.spec.k, self.spec.ell, self.spec.h, p)
+
+    def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
+        from .availability import rt_critical_probability, rt_fp_upper
+        k, ell = self.spec.k, self.spec.ell
+        yield "rt_fp_upper", rt_fp_upper(k, ell, self.spec.h, p)
+        yield "rt_critical_probability", rt_critical_probability(k, ell).value
 
     def _sample_mask(self, gen: np.random.Generator) -> int:
         # Level by level, each node keeps a uniform ell-subset of its k
@@ -571,6 +601,12 @@ class BoostFPPHandle(ComposedHandle):
                                       ThresholdSpec(4 * spec.b + 1, 3 * spec.b + 1)))
         self.spec = spec
 
+    def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
+        from .availability import boostfpp_fp_upper
+        bound = boostfpp_fp_upper(self.spec.q, self.spec.b, p)
+        yield "boostfpp_fp_upper", bound.paper_form
+        yield "boostfpp_fp_upper_chernoff", bound.chernoff_form
+
 
 class MPathHandle(_RowColumnHandle):
     """Quorums of r disjoint crossing paths per orientation on the triangulated grid.
@@ -590,6 +626,12 @@ class MPathHandle(_RowColumnHandle):
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         return (disjoint_path_counts(self.spec.side, alive, self.g) >= self.g).all(axis=1)
+
+    def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
+        from .availability import mpath_fp_upper
+        p_prime = (p + 1.0 / 3.0) / 2.0 if p_prime is None else p_prime
+        yield "p_prime", p_prime
+        yield "mpath_fp_upper", mpath_fp_upper(self.spec.side, self.spec.b, p, p_prime)
 
     @property
     def exact_by_default(self) -> bool:

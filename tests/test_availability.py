@@ -518,6 +518,9 @@ CLOSED_FORM_EXTRAS = {
     "BoostFPP(2,0)": mq.BoostFPPSpec(2, 0),
 }
 
+TABLE8_SPECS = [mq.MGridSpec(32, 15), mq.RTSpec(4, 3, 5), mq.BoostFPPSpec(3, 19),
+                mq.MPathSpec(32, 7)]
+
 
 class TestClosedForms:
     P_GRID = (0.05, 0.125, 0.3, 0.5, 0.9)
@@ -560,15 +563,39 @@ class TestClosedForms:
         with pytest.raises(ParameterError):
             mq.mgrid_fp_exact(32, 16, 0.1)
 
-    def test_published_bounds_point_the_right_way(self):
-        p = 1 / 8
-        mgrid = mq.crash_prob_exact(build(mq.MGridSpec(32, 15)), p)
-        rt = mq.crash_prob_exact(build(mq.RTSpec(4, 3, 5)), p)
-        boost = mq.crash_prob_exact(build(mq.BoostFPPSpec(3, 19)), p)
-        assert {mgrid.route, rt.route, boost.route} == {"closed_form"}
-        assert mq.mgrid_fp_lower(32, p) <= mgrid.value
-        assert rt.value <= mq.rt_fp_upper(4, 3, 5, p)
-        assert boost.value <= mq.boostfpp_fp_upper(3, 19, p).paper_form
+    def test_published_bounds_point_the_right_way(self, handles):
+        # Every entry of published_bounds against the exact crash probability,
+        # on the roster and the Table 8 systems; a system without a closed
+        # form is skipped past n = 16, so no new 2^n enumeration runs.
+        lower = {"p_mt", "p_c2f", "p_f", "mgrid_fp_lower"}
+        upper = {"rt_fp_upper", "boostfpp_fp_upper", "boostfpp_fp_upper_chernoff",
+                 "mpath_fp_upper"}
+        targets = dict(handles)
+        targets.update((repr(spec), build(spec)) for spec in TABLE8_SPECS)
+        checked = []
+        for name, handle in targets.items():
+            if handle.n > 16 and handle.closed_form_crash_prob(0.5) is None:
+                continue
+            checked.append(name)
+            for p in (0.02, 0.05, 0.1, 0.125, 0.2, 0.24, 0.3, 0.5, 0.9):
+                value = mq.crash_prob_exact(handle, p).value
+                for key, bound in handle.published_bounds(p).items():
+                    where = (name, p, key)
+                    if key in lower:
+                        assert bound is None or bound <= value + 1e-12, where
+                    elif key in upper:
+                        assert value <= bound + 1e-12, where
+                    elif key == "rt_critical_probability":
+                        # The recursion pulls p down below its fixed point, up above it.
+                        if abs(p - bound) > 1e-6:
+                            assert (value < p) == (p < bound), where
+                    else:
+                        assert key in ("p_prime", "inapplicable"), where
+        # 16 roster systems (MPath(5,0) and MPath(5,2) skipped) and three
+        # Table 8 systems (MPath(32,7) skipped), none skipped by accident.
+        assert len(checked) == 19
+        for spec in TABLE8_SPECS[:3]:
+            assert mq.crash_prob_exact(build(spec), 1 / 8).route == "closed_form"
 
     def test_composed_part_without_route_refuses_past_cap(self):
         # FPP(5) has no closed form and n = 31: the size error is the part's.

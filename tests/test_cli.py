@@ -21,6 +21,11 @@ LARGE_COMPOSED = ('{"Composed": {"outer": {"MGrid": {"side": 32, "b": 15}}, '
                   '"inner": {"Threshold": {"k": 3, "ell": 2}}}}')
 # A projective plane past the enumeration cap (n = 31), with no closed form.
 FPP5 = '{"FPP": {"q": 5}}'
+BOOSTFPP_3_19 = '{"BoostFPP": {"q": 3, "b": 19}}'
+MPATH_32_7 = '{"MPath": {"side": 32, "b": 7}}'
+# Outputs of the published comparison, written by the CLI before its bounds
+# moved onto the handles; compared byte for byte.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestParams:
@@ -166,6 +171,19 @@ class TestFp:
         assert bounds["mpath_fp_upper"] == pytest.approx(
             mq.mpath_fp_upper(5, 0, 0.1, (0.1 + 1 / 3) / 2), abs=1e-6)
 
+    @pytest.mark.parametrize("spec, p, kept, reason", [
+        (BOOSTFPP_3_19, "0.3", {"p_mt", "p_c2f", "p_f"}, "requires p < 1/4"),
+        (MPATH_32_7, "0.4", {"p_mt", "p_c2f", "p_f", "p_prime"}, "p_prime < 1/3"),
+    ], ids=["BoostFPP", "MPath"])
+    def test_inapplicable_bound_keeps_the_others(self, capsys, spec, p, kept, reason):
+        code, out, err = run_cli(capsys, "fp", spec, "--p", p, "--mc", "--trials", "10",
+                                 "--bounds")
+        assert code == 0, err
+        bounds = json.loads(out)["bounds"]
+        assert set(bounds) == kept | {"inapplicable"}
+        assert reason in bounds["inapplicable"]
+        assert bounds["p_mt"] > 0 and bounds["p_c2f"] > 0 and bounds["p_f"] is None
+
 
 class TestCompose:
     def test_params_and_explicit(self, capsys):
@@ -249,6 +267,39 @@ class TestTable8:
         code, _, err = run_cli(capsys, "table8", "--p", "1.5")
         assert code == 2
         assert "probability" in err
+
+    def test_inapplicable_bound_leaves_cell_empty(self, capsys):
+        # The boosted-plane bound needs p < 1/4; the row's other cells stay.
+        code, out, _ = run_cli(capsys, "table8", "--p", "0.3")
+        assert code == 0
+        rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
+        boost = rows["BoostFPP-3-19"]
+        assert boost[6] == ""
+        assert boost[5] == "upper" and float(boost[8]) > 0.9
+        assert all(row[6] != "" for name, row in rows.items() if name != "BoostFPP-3-19")
+
+    @pytest.mark.parametrize("p", ["0.125", "0.3"])
+    def test_json_matches_golden(self, capsys, p):
+        code, out, _ = run_cli(capsys, "table8", "--p", p, "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / f"table8_p{p}.json").read_text()
+
+    def test_fp_bounds_match_golden(self, capsys):
+        systems = {
+            "MGrid-32-15": '{"MGrid": {"side": 32, "b": 15}}',
+            "RT-4-3-5": '{"RT": {"k": 4, "ell": 3, "h": 5}}',
+            "BoostFPP-3-19": BOOSTFPP_3_19,
+            "MPath-32-7": MPATH_32_7,
+        }
+        got = {}
+        for name, spec in systems.items():
+            for p in ("0.05", "0.125", "0.3"):
+                code, out, err = run_cli(capsys, "fp", spec, "--p", p, "--mc",
+                                         "--trials", "1", "--bounds")
+                assert code == 0, err
+                got[f"{name} p={p}"] = json.loads(out)["bounds"]
+        text = json.dumps(got, indent=2, sort_keys=True) + "\n"
+        assert text == (GOLDEN / "fp_bounds.json").read_text()
 
     def test_entry_point_matches_in_process(self, capsys):
         import os

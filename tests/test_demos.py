@@ -1,0 +1,15 @@
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_composition_and_comparison_demo_runs(capsys):
+    runpy.run_path(str(DEMOS / "05_composition_and_comparison.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines()
+            if line.endswith((" 0.638", " 0.0001", " 0.372", " 0.001"))]
+    # Each row's bound as its handle names it, at p = 1/8 (p' = 1/7 for MPath).
+    assert [(row[0], row[5]) for row in rows] == [
+        ("MGrid(32,15)", "0.638"), ("RT(4,3,5)", "0.0001"),
+        ("BoostFPP(3,19)", "0.372"), ("MPath(32,7)", "2.21e-05")]
