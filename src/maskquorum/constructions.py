@@ -3,12 +3,14 @@
 Each builder returns a QuorumSystemHandle exposing closed-form combinatorial
 parameters, a live-quorum predicate, a load-optimal quorum sampler, and (for
 small instances) materialization to an ExplicitQuorumSystem.  MGrid and MPath
-share one row/column handle, FPP answers from its explicit plane, BoostFPP is
-a composition.  MPath materializes only its straight-path quorums, so it and
-every composition containing it report lists_every_quorum = False.
-Threshold, RT, MGrid and every composition give their exact crash
-probability in closed form (closed_form_crash_prob); FPP and MPath leave it to
-2^n enumeration.  Each handle also names its published crash-probability
+share one row/column handle, FPP answers from its explicit plane, and
+BoostFPP and RT are compositions: RT(k, ell, h) is Threshold(k, ell) composed
+over RT(k, ell, h-1), ending in the 1-of-1 block at h = 1, and keeps only its
+own sampler and bounds.  MPath materializes only its straight-path quorums, so
+it and every composition containing it report lists_every_quorum = False.
+Threshold, MGrid and every composition give their exact crash probability in
+closed form (closed_form_crash_prob); FPP and MPath leave it to 2^n
+enumeration.  Each handle also names its published crash-probability
 bounds (published_bounds): the general lower bounds, plus its family's own.
 
 Canonical element numbering: grid cell (i, j) -> i*side + j (0-based);
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Union
 
 import numpy as np
@@ -41,6 +43,9 @@ __all__ = [
 
 # Largest n at which 2^n crash sets are enumerated.
 EXACT_MAX_N = 25
+# Deepest recursive threshold: RT(k, ell, h) nests h composed handles, a few
+# Python frames each, which must fit in the interpreter's recursion limit.
+RT_MAX_DEPTH = 200
 
 
 def _is_prime(q: int) -> bool:
@@ -135,8 +140,9 @@ class RTSpec:
         if not (self.k > self.ell > self.k / 2):
             raise ParameterError(
                 f"recursive threshold requires k > ell > k/2, got k={self.k}, ell={self.ell}")
-        if self.h < 1:
-            raise ParameterError(f"recursive threshold needs depth h >= 1, got {self.h}")
+        if not 1 <= self.h <= RT_MAX_DEPTH:
+            raise ParameterError(
+                f"recursive threshold needs depth 1 <= h <= {RT_MAX_DEPTH}, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -345,7 +351,14 @@ class ThresholdHandle(QuorumSystemHandle):
             n=k, c=ell, i_min=2 * ell - k, a_min=k - ell + 1, load=ell / k)
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
-        return alive.sum(axis=1, dtype=np.min_scalar_type(self.spec.k)) >= self.spec.ell
+        # Count each row's alive members in the smallest unsigned integer
+        # that holds k: .sum() would widen every byte to int64.  The 1-of-1
+        # block that ends RT's recursion is its one column, which einsum
+        # would walk row by row, 2-6 times slower.
+        k = self.spec.k
+        x = np.asarray(alive, dtype=bool).view(np.uint8)
+        count = x[:, 0] if k == 1 else np.einsum("ij->i", x, dtype=np.min_scalar_type(k))
+        return count >= self.spec.ell
 
     def closed_form_crash_prob(self, p: float) -> float:
         from .availability import threshold_g
@@ -425,72 +438,6 @@ class MGridHandle(_RowColumnHandle):
         yield "mgrid_fp_lower", mgrid_fp_lower(self.spec.side, p)
 
 
-class RTHandle(QuorumSystemHandle):
-    """Depth-h recursion of the ell-of-k threshold over k^h leaves."""
-
-    exact_by_default = True
-
-    def __init__(self, spec: RTSpec):
-        self.spec = spec
-        k, ell, h = spec.k, spec.ell, spec.h
-        self.params = SystemParams.derive(
-            n=k ** h, c=ell ** h, i_min=(2 * ell - k) ** h,
-            a_min=(k - ell + 1) ** h, load=(ell / k) ** h)
-
-    def _live_batch(self, alive: np.ndarray) -> np.ndarray:
-        # Count the alive children of each node by adding the k child slices
-        # as small unsigned integers: .sum() would widen every byte to int64.
-        k, ell = self.spec.k, self.spec.ell
-        count_type = np.min_scalar_type(k)
-        x = np.asarray(alive, dtype=bool).view(np.uint8)
-        for _ in range(self.spec.h):
-            children = x.reshape(len(alive), -1, k)
-            count = np.add(children[:, :, 0], children[:, :, 1], dtype=count_type)
-            for c in range(2, k):
-                count += children[:, :, c]
-            x = (count >= ell).view(np.uint8)
-        return x[:, 0].view(bool)
-
-    def closed_form_crash_prob(self, p: float) -> float:
-        from .availability import rt_fp_recurrence
-        return rt_fp_recurrence(self.spec.k, self.spec.ell, self.spec.h, p)
-
-    def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
-        from .availability import rt_critical_probability, rt_fp_upper
-        k, ell = self.spec.k, self.spec.ell
-        yield "rt_fp_upper", rt_fp_upper(k, ell, self.spec.h, p)
-        yield "rt_critical_probability", rt_critical_probability(k, ell).value
-
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        # Level by level, each node keeps a uniform ell-subset of its k
-        # children (the first ell of a random permutation); child c of node v
-        # is node v*k + c one level down, and the last level holds the leaves.
-        k, ell = self.spec.k, self.spec.ell
-        nodes = np.zeros(1, dtype=np.int64)
-        for _ in range(self.spec.h):
-            picks = gen.random((len(nodes), k)).argsort(axis=1)[:, :ell]
-            nodes = (nodes[:, None] * k + picks).ravel()
-        leaves = np.zeros(self.params.n, dtype=bool)
-        leaves[nodes] = True
-        return bools_to_int(leaves)
-
-    def quorum_count(self) -> int:
-        k, ell = self.spec.k, self.spec.ell
-        count = 1
-        for _ in range(self.spec.h):
-            count = math.comb(k, ell) * count ** ell
-        return count
-
-    def iter_quorum_masks(self) -> Iterator[int]:
-        # Depth d + 1 is the ell-of-k threshold composed over depth d (k^d leaves).
-        block = ThresholdHandle(ThresholdSpec(self.spec.k, self.spec.ell))
-        masks = [1]
-        for depth in range(self.spec.h):
-            masks = list(iter_composed_masks(block.iter_quorum_masks(), masks,
-                                             self.spec.k ** depth))
-        return iter(masks)
-
-
 def fpp_lines(q: int) -> ExplicitQuorumSystem:
     """The finite projective plane of prime order q as an explicit system.
 
@@ -501,22 +448,10 @@ def fpp_lines(q: int) -> ExplicitQuorumSystem:
     lines meet in exactly one point.
     """
     FPPSpec(q)  # rejects a q that is not a prime integer
-    points: list[tuple[int, int, int]] = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                nonzero = [x for x in (a, b, c) if x != 0]
-                if nonzero and nonzero[0] == 1:
-                    points.append((a, b, c))
-    assert len(points) == q * q + q + 1
-    masks = []
-    for coeff in points:
-        mask = 0
-        for idx, pt in enumerate(points):
-            if (coeff[0] * pt[0] + coeff[1] * pt[1] + coeff[2] * pt[2]) % q == 0:
-                mask |= 1 << idx
-        masks.append(mask)
-    return ExplicitQuorumSystem.from_masks(len(points), masks)
+    points = np.array([t for t in product(range(q), repeat=3)
+                       if next((x for x in t if x), 0) == 1])
+    incidence = (points @ points.T) % q == 0
+    return ExplicitQuorumSystem.from_masks(len(points), [bools_to_int(row) for row in incidence])
 
 
 class FPPHandle(QuorumSystemHandle):
@@ -606,6 +541,37 @@ class BoostFPPHandle(ComposedHandle):
         bound = boostfpp_fp_upper(self.spec.q, self.spec.b, p)
         yield "boostfpp_fp_upper", bound.paper_form
         yield "boostfpp_fp_upper_chernoff", bound.chernoff_form
+
+
+class RTHandle(ComposedHandle):
+    """Depth-h recursion of the ell-of-k threshold over k^h leaves:
+    Threshold(k, ell) composed over RT(k, ell, h-1), where depth 1 composes
+    the block over single elements (the 1-of-1 threshold)."""
+
+    def __init__(self, spec: RTSpec):
+        k, ell = spec.k, spec.ell
+        inner = RTSpec(k, ell, spec.h - 1) if spec.h > 1 else ThresholdSpec(1, 1)
+        super().__init__(ComposedSpec(ThresholdSpec(k, ell), inner))
+        self.spec = spec
+
+    def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
+        from .availability import rt_critical_probability, rt_fp_upper
+        k, ell = self.spec.k, self.spec.ell
+        yield "rt_fp_upper", rt_fp_upper(k, ell, self.spec.h, p)
+        yield "rt_critical_probability", rt_critical_probability(k, ell).value
+
+    def _sample_mask(self, gen: np.random.Generator) -> int:
+        # Level by level, each node keeps a uniform ell-subset of its k
+        # children (the first ell of a random permutation); child c of node v
+        # is node v*k + c one level down, and the last level holds the leaves.
+        k, ell = self.spec.k, self.spec.ell
+        nodes = np.zeros(1, dtype=np.int64)
+        for _ in range(self.spec.h):
+            picks = gen.random((len(nodes), k)).argsort(axis=1)[:, :ell]
+            nodes = (nodes[:, None] * k + picks).ravel()
+        leaves = np.zeros(self.params.n, dtype=bool)
+        leaves[nodes] = True
+        return bools_to_int(leaves)
 
 
 class MPathHandle(_RowColumnHandle):

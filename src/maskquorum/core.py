@@ -98,10 +98,6 @@ class ElementSet:
         self._check_universe(other)
         return self.mask & ~other.mask == 0
 
-    def isdisjoint(self, other: "ElementSet") -> bool:
-        self._check_universe(other)
-        return self.mask & other.mask == 0
-
     def as_bool(self) -> np.ndarray:
         """Membership as a boolean vector of length n."""
         packed = np.frombuffer(self.mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)

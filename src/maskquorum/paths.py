@@ -58,9 +58,6 @@ class TriGrid:
     def index(self, i: int, j: int) -> int:
         return i * self.side + j
 
-    def coords(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.side)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 

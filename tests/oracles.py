@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: depth-first path enumeration plus
 maximum set packing for disjoint-path counts, a unit-capacity max-flow on the
-node-split grid (Menger's theorem) for larger grids, and a direct sum over all
-crash sets for crash probabilities.  None of it shares code with the
+node-split grid (Menger's theorem) for larger grids, a direct sum over all
+crash sets for crash probabilities, and a triple loop for the lines of a
+projective plane.  None of it shares code with the
 implementations it checks; only TriGrid's neighbour lists are borrowed.
 """
 
@@ -135,3 +136,24 @@ def mgrid_crash_probability(side: int, g: int, p: float) -> float:
                     * alive ** (side * (a + c) - a * c))
             live += -term if (a + c) % 2 else term
     return float(1 - live)
+
+
+def fpp_line_masks(q: int) -> list[int]:
+    """Lines of the projective plane of order q, by the triple loop: the
+    canonical points (first nonzero coordinate 1) in lexicographic order, and
+    line a = {P : a . P = 0 mod q} as a bitmask over their indices."""
+    points = []
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                nonzero = [x for x in (a, b, c) if x != 0]
+                if nonzero and nonzero[0] == 1:
+                    points.append((a, b, c))
+    masks = []
+    for coeff in points:
+        mask = 0
+        for idx, pt in enumerate(points):
+            if (coeff[0] * pt[0] + coeff[1] * pt[1] + coeff[2] * pt[2]) % q == 0:
+                mask |= 1 << idx
+        masks.append(mask)
+    return masks

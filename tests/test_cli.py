@@ -35,6 +35,16 @@ class TestParams:
         parsed = mq.SystemParams.from_dict(json.loads(out))
         assert parsed == mq.build(mq.RTSpec(4, 3, 5)).params
 
+    def test_deepest_recursive_threshold(self, capsys):
+        # RT(3,2,200) nests 200 composed handles.
+        rt = '{"RT": {"k": 3, "ell": 2, "h": 200}}'
+        code, out, _ = run_cli(capsys, "params", rt)
+        assert code == 0
+        assert json.loads(out)["n"] == 3 ** 200
+        code, out, _ = run_cli(capsys, "fp", rt, "--p", "0.1", "--exact", "--bounds")
+        assert code == 0
+        assert json.loads(out)["estimate"]["value"] == mq.rt_fp_recurrence(3, 2, 200, 0.1)
+
     def test_reads_spec_from_file(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text('{"MGrid": {"side": 7, "b": 3}}')

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import maskquorum as mq
@@ -146,6 +147,25 @@ def test_composition_is_associative(components):
 
 
 def test_recursive_threshold_is_iterated_composition():
-    rt = build(mq.RTSpec(4, 3, 2)).materialize(300)
-    composed = build(mq.ComposedSpec(mq.ThresholdSpec(4, 3), mq.ThresholdSpec(4, 3)))
-    assert set(rt.quorum_masks()) == set(composed.materialize(300).quorum_masks())
+    for k, ell, h in [(4, 3, 2), (3, 2, 2), (3, 2, 3), (5, 3, 2)]:
+        # The block composed over itself h - 1 times, as nested ComposedSpecs.
+        block = mq.ThresholdSpec(k, ell)
+        spec = block
+        for _ in range(h - 1):
+            spec = mq.ComposedSpec(block, spec)
+        composed = build(spec)
+        rt = build(mq.RTSpec(k, ell, h))
+        explicit = rt.materialize(10 ** 4)
+        assert explicit.quorum_masks() == composed.materialize(10 ** 4).quorum_masks()
+        fields = ("n", "c", "i_min", "a_min", "b", "f")
+        assert [getattr(rt.params, f) for f in fields] == \
+            [getattr(composed.params, f) for f in fields]
+
+        alive = np.random.default_rng(k * 100 + h).random((300, rt.n)) < 0.7
+        want = explicit.live_batch(alive)
+        assert 0 < want.sum() < len(want)
+        assert (rt.live_batch(alive) == want).all()
+        assert (composed.live_batch(alive) == want).all()
+
+        for p in (0.05, 0.2, 0.5):
+            assert mq.crash_prob_exact(rt, p).value == mq.rt_fp_recurrence(k, ell, h, p)

@@ -10,6 +10,8 @@ import maskquorum as mq
 from maskquorum import ElementSet, Rng, build
 from maskquorum.errors import ParameterError, SizeError, UnsupportedOrderError
 
+from oracles import fpp_line_masks
+
 
 class TestSpecValidation:
     def test_mgrid_rejects_excess_masking(self):
@@ -34,6 +36,8 @@ class TestSpecValidation:
     def test_rt_depth(self):
         with pytest.raises(ParameterError):
             mq.RTSpec(k=4, ell=3, h=0)
+        with pytest.raises(ParameterError, match="h <= 200"):
+            mq.RTSpec(k=4, ell=3, h=201)
 
     def test_fpp_rejects_prime_powers_and_composites(self):
         for q in (4, 6, 8, 9, 1, 0):
@@ -139,6 +143,10 @@ class TestFppLines:
             for e in ElementSet(sys_q.n, mask):
                 degrees[e] += 1
         assert set(degrees) == {q + 1}
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_same_lines_in_the_same_order_as_the_triple_loop(self, q):
+        assert mq.fpp_lines(q).quorum_masks() == fpp_line_masks(q)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):

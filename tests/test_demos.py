@@ -1,7 +1,20 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_build_and_inspect.py", "02_load_and_strategies.py"])
+def test_demo_runs(name):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+
+
+def test_crash_probability_demo_agrees_across_worker_counts(capsys):
+    # The demo reruns RT(4,3,2) Monte Carlo with 8 workers on the same seed.
+    runpy.run_path(str(DEMOS / "03_crash_probability.py"), run_name="__main__")
+    assert "(bit-identical: True)" in capsys.readouterr().out
 
 
 def test_composition_and_comparison_demo_runs(capsys):
