@@ -7,23 +7,26 @@ masking-load lower bounds.
 
 Each question has one route, and all of them read the system's packed quorum
 words.  Pairwise intersections come from one blocked popcount kernel
-(``_bitops.pair_intersections``).  The smallest transversal is a pruned
-branch and bound (``_search_transversal``), run at most once per system
-object: combinatorial_params, masking_level and check_masking's resilience
-half share its result.  Fairness, the load LP and induced loads take the
+(``_bitops.pair_intersections``).  The smallest transversal is a branch and
+bound (``_search_transversal``) on blocks of nodes whose unhit quorums are
+packed words, run once per system object for combinatorial_params,
+masking_level and check_masking's resilience half, and logged at DEBUG on
+the "maskquorum" logger.  Fairness, the load LP and induced loads take the
 incidence matrix from ``unpack_masks`` of the same words.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._bitops import NO_PAIR, pair_intersections, unpack_masks
+from ._bitops import NO_PAIR, bools_to_int, pack_rows, pair_intersections, unpack_masks
 from .core import AccessStrategy, ElementSet, ExplicitQuorumSystem, SystemParams
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
 
@@ -38,6 +41,10 @@ A_MIN_MAX_N = 30
 A_MIN_MAX_QUORUMS = 10 ** 4
 LP_MAX_QUORUMS = 10 ** 4
 LP_MAX_N = 10 ** 3
+# Nodes per block of the transversal search, fewer where its popcount
+# temporaries would pass SEARCH_WORDS words (n = 1000, m = 10^4: one node).
+SEARCH_NODES = 64
+SEARCH_WORDS = 1 << 18
 
 
 class CombinatorialParams(NamedTuple):
@@ -78,55 +85,64 @@ def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
 def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     """Branch and bound for the smallest set of elements meeting every quorum.
 
-    Quorum sets are 0/1 float vectors over the quorum list, so one product
-    with the (n, m) incidence matrix gives every element's gain (the unhit
-    quorums it meets), exactly.  The greedy cover is the first bound.
+    Depth first, up to SEARCH_NODES nodes at a time off a stack of blocks.  A
+    node is its unhit quorums as packed words, its banned and chosen elements
+    and a lower bound on the covers below it; one popcount kernel gives every
+    node's element gains (the unhit quorums each meets).  Greedy gives the
+    first incumbent.  A node is finished in place when one allowed element
+    covers every quorum left, and pruned when depth + ceil(left / top gain)
+    cannot beat the incumbent.  Otherwise it branches on the unhit quorum with
+    the fewest allowed elements, by decreasing gain (stable sort), and the
+    child taking the element of rank r bans those of rank < r, so each
+    hitting set is reached in one order.  A better cover prunes the stack.
     """
-    incidence = unpack_masks(sys.quorum_words, sys.n).T.astype(np.float64)
-    unhit = np.ones(sys.m)
-    greedy: list[int] = []
+    start = time.perf_counter()
+    n, m = sys.n, sys.m
+    members = unpack_masks(sys.quorum_words, n)
+    elem_words = pack_rows(members.T)  # (n, W): the quorums each element meets
+    root = pack_rows(np.ones((1, m), dtype=bool))
+    unhit, best, witness = root, 0, np.zeros(n, dtype=bool)
     while unhit.any():
-        e = int(np.argmax(incidence @ unhit))
-        greedy.append(e)
-        unhit = unhit * (incidence[e] == 0)
-    best = _descend(incidence, np.ones(sys.m), incidence.sum(axis=0),
-                    np.zeros(sys.n, dtype=bool), [], greedy)
-    return len(best), sum(1 << e for e in best)
-
-
-def _descend(incidence: np.ndarray, unhit: np.ndarray, allowed: np.ndarray,
-             banned: np.ndarray, chosen: list[int], best: list[int]) -> list[int]:
-    """The smallest cover extending ``chosen`` without banned elements, if it
-    is smaller than ``best``; otherwise ``best``.
-
-    Branches on the unhit quorum with the fewest allowed elements (allowed[q]
-    counts them), taking its elements in decreasing order of gain.  After the
-    branch that takes element e returns, e is banned in the later sibling
-    branches, so each hitting set is reached in one order only; a quorum
-    whose elements are all banned cannot be hit, and its node has no
-    branches.  A node is pruned when ceil(unhit / best gain of an allowed
-    element) more elements cannot beat ``best``.
-    """
-    left = unhit.sum()
-    if left == 0:
-        return chosen if len(chosen) < len(best) else best
-    gains = incidence @ unhit
-    gains[banned] = 0.0
-    top = gains.max()
-    if top == 0 or len(chosen) + ceil(left / top) >= len(best):
-        return best
-    # Hit quorums score above any allowed count, so argmin picks an unhit one.
-    q = int(np.argmin(allowed + (len(banned) + 1.0) * (1.0 - unhit)))
-    elems = np.flatnonzero((incidence[:, q] == 1) & ~banned)
-    banned = banned.copy()
-    for e in elems[np.argsort(-gains[elems], kind="stable")]:
-        best = _descend(incidence, unhit * (incidence[e] == 0), allowed, banned,
-                        chosen + [int(e)], best)
-        if len(chosen) + 1 >= len(best):
-            break
-        banned[e] = True
-        allowed = allowed - incidence[e]
-    return best
+        e = int(np.argmax(np.bitwise_count(elem_words & unhit).sum(axis=1)))
+        best, witness[e], unhit = best + 1, True, unhit & ~elem_words[e]
+    block = max(1, min(SEARCH_NODES, SEARCH_WORDS // max(elem_words.size, sys.quorum_words.size)))
+    stack, visited = [(root, *np.zeros((2, 1, n), dtype=bool), np.zeros(1, dtype=int))], 0
+    while stack:
+        nodes = stack.pop()
+        if not len(nodes[0]):
+            continue
+        stack.append(tuple(a[block:] for a in nodes))
+        unhit, banned, chosen, _ = (a[:block] for a in nodes)
+        visited += len(unhit)
+        depth = chosen.sum(axis=1)
+        gains = np.bitwise_count(unhit[:, None, :] & elem_words[None]).sum(axis=2, dtype=np.int64)
+        gains[banned] = 0
+        left, top = np.bitwise_count(unhit).sum(axis=1, dtype=np.int64), gains.max(axis=1)
+        finish = np.where(top == left, depth + 1, best)
+        i = int(np.argmin(finish))
+        if finish[i] < best:
+            best, witness = int(finish[i]), chosen[i] | (np.arange(n) == np.argmax(gains[i]))
+            stack = [tuple(a[s[-1] < best] for a in s) for s in stack]
+        go = (top > 0) & (top < left) & (depth - (-left // np.maximum(top, 1)) < best)
+        unhit, banned, chosen, depth, gains, left, top = (
+            a[go] for a in (unhit, banned, chosen, depth, gains, left, top))
+        allowed = np.bitwise_count(sys.quorum_words[None] & ~pack_rows(banned)[:, None]).sum(axis=2)
+        is_unhit = np.unpackbits(unhit.view(np.uint8), axis=1, count=m, bitorder="little")
+        q = np.argmin(np.where(is_unhit, allowed, n + 1), axis=1)
+        candidates = members[q] & ~banned
+        order = np.argsort(np.where(candidates, -gains, 1), axis=1, kind="stable")
+        parent, rank = np.nonzero(np.arange(n) < candidates.sum(axis=1)[:, None])
+        e = order[parent, rank]
+        bound = depth[parent] + 1 - (-(left[parent] - gains[parent, e]) // top[parent])
+        keep = bound < best
+        stack.append(tuple(a[keep] for a in (
+            unhit[parent] & ~elem_words[e],
+            banned[parent] | (np.argsort(order, axis=1, kind="stable")[parent] < rank[:, None]),
+            chosen[parent] | (np.arange(n) == e[:, None]), bound)))
+    logging.getLogger("maskquorum").debug(
+        "transversal search: n=%d m=%d nodes=%d size=%d elapsed=%.3f ms",
+        n, m, visited, best, 1e3 * (time.perf_counter() - start))
+    return best, bools_to_int(witness)
 
 
 def min_transversal_size(sys: ExplicitQuorumSystem) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product
 from typing import Iterator, Union
 
@@ -352,12 +352,11 @@ class ThresholdHandle(QuorumSystemHandle):
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         # Count each row's alive members in the smallest unsigned integer
-        # that holds k: .sum() would widen every byte to int64.  The 1-of-1
-        # block that ends RT's recursion is its one column, which einsum
-        # would walk row by row, 2-6 times slower.
+        # that holds k: .sum() would widen every byte to int64.  einsum walks
+        # short rows one by one: up to 8 columns, strided column adds win.
         k = self.spec.k
         x = np.asarray(alive, dtype=bool).view(np.uint8)
-        count = x[:, 0] if k == 1 else np.einsum("ij->i", x, dtype=np.min_scalar_type(k))
+        count = np.einsum("ij->i", x, dtype=np.min_scalar_type(k)) if k > 8 else reduce(np.add, x.T)
         return count >= self.spec.ell
 
     def closed_form_crash_prob(self, p: float) -> float:

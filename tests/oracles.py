@@ -114,6 +114,17 @@ def brute_resilience(n: int, quorum_masks: list[int]) -> int:
     return f
 
 
+def greedy_cover_size(n: int, quorum_masks: list[int]) -> int:
+    """Size of the greedy hitting set: take the element meeting the most
+    unhit quorums (the lowest index on ties) until every quorum is hit."""
+    unhit, size = list(quorum_masks), 0
+    while unhit:
+        e = max(range(n), key=lambda i: (sum(q >> i & 1 for q in unhit), -i))
+        unhit = [q for q in unhit if not q >> e & 1]
+        size += 1
+    return size
+
+
 def _mask(indices) -> int:
     out = 0
     for i in indices:

@@ -1,5 +1,7 @@
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +12,24 @@ import maskquorum as mq
 from maskquorum import ExplicitQuorumSystem, analysis, build
 from maskquorum.errors import ApplicabilityError, ParameterError, SizeError
 
-from oracles import brute_resilience
+from oracles import brute_resilience, greedy_cover_size
 
 # Explicit systems on up to 12 elements whose quorums may be disjoint.
 random_systems = st.integers(1, 12).flatmap(lambda n: st.sets(
     st.integers(1, (1 << n) - 1), min_size=1, max_size=20).map(
         lambda masks: ExplicitQuorumSystem.from_masks(n, sorted(masks))))
+
+
+@st.composite
+def wide_systems(draw):
+    """Explicit systems on up to 12 elements with up to 100 quorums, so that
+    a search node's unhit quorums may span two words."""
+    n = draw(st.integers(1, 12))
+    m = min(draw(st.integers(1, 100)), (1 << n) - 1)
+    masks = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=m, max_size=m))
+    return ExplicitQuorumSystem.from_masks(n, sorted(masks))
+
+
 # A random system with a masking level b from 0 to n + 2.
 masking_cases = random_systems.flatmap(
     lambda system: st.tuples(st.just(system), st.integers(0, system.n + 2)))
@@ -151,13 +165,52 @@ class TestCheckMasking:
         assert mq.combinatorial_params(system).i_min == 1
 
 
+def _searched(system, caplog):
+    """(size, witness, nodes visited) of one logged transversal search."""
+    caplog.set_level(logging.DEBUG, logger="maskquorum")
+    caplog.clear()
+    size, witness = analysis._search_transversal(system)
+    assert witness.bit_count() == size
+    assert all(q & witness for q in system.quorum_masks())
+    [record] = [r for r in caplog.records if "transversal search" in r.getMessage()]
+    return size, witness, int(re.search(r"nodes=(\d+)", record.getMessage())[1])
+
+
 class TestMinTransversal:
-    @given(random_systems)
+    @given(wide_systems())
     def test_matches_brute_force(self, system):
         size, witness = analysis._min_transversal(system)
         assert size == brute_resilience(system.n, system.quorum_masks()) + 1
         assert witness.bit_count() == size
         assert all(q & witness for q in system.quorum_masks())
+
+    @pytest.mark.parametrize("spec, a_min", [
+        (mq.ThresholdSpec(13, 7), 7),    # 1716 quorums: 27 words each
+        (mq.ThresholdSpec(70, 69), 2),   # n = 70: two words per element set
+    ])
+    def test_multiword_threshold(self, spec, a_min, caplog):
+        system = build(spec).materialize(10 ** 4)
+        assert _searched(system, caplog)[0] == a_min
+
+    def test_beats_greedy_over_many_blocks(self, caplog):
+        # Greedy stops at 10 elements; the search needs more than one block
+        # of nodes to find and prove the optimum of 6.
+        system = build(mq.BoostFPPSpec(2, 1)).materialize(10 ** 4)
+        assert greedy_cover_size(system.n, system.quorum_masks()) == 10
+        size, _, nodes = _searched(system, caplog)
+        assert size == 6
+        assert nodes > analysis.SEARCH_NODES
+
+    def test_logs_each_search_at_debug(self, caplog):
+        system = build(mq.FPPSpec(3)).materialize(100)
+        caplog.set_level(logging.DEBUG, logger="maskquorum")
+        mq.min_transversal_size(system)
+        mq.min_transversal_size(system)
+        [record] = caplog.records
+        assert record.name == "maskquorum" and record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for field in ("n=13", "m=13", "nodes=", "size=4", "elapsed="):
+            assert field in message
 
 
 class TestResilience:
@@ -169,6 +222,13 @@ class TestResilience:
             assert f == mq.min_transversal_size(system) - 1, name
             if not isinstance(handles[name].spec, mq.MPathSpec):
                 assert f == handles[name].params.f, name
+
+    def test_search_matches_analytic_a_min(self, materialized, handles):
+        # MPath materializes its straight paths only, a sub-list whose
+        # transversals are smaller than the system's.
+        for name, system in materialized.items():
+            if not isinstance(handles[name].spec, mq.MPathSpec):
+                assert mq.min_transversal_size(system) == handles[name].params.a_min, name
 
 
 class TestIsFair:

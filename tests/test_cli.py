@@ -262,6 +262,18 @@ class TestTable8:
         _, out2, _ = run_cli(capsys, "table8")
         assert out1 == out2
 
+    def test_second_call_does_not_enumerate_again(self, capsys, monkeypatch):
+        # The row handles live for the process, so the 2^13 crash profile of
+        # BoostFPP(3,19)'s outer plane is enumerated by the first call only.
+        run_cli(capsys, "table8")
+        enumerated = []
+        profile_of = mq.availability._profile_of
+        monkeypatch.setattr(mq.availability, "_profile_of",
+                            lambda target: enumerated.append(target) or profile_of(target))
+        code, out, _ = run_cli(capsys, "table8", "--p", "0.05")
+        assert code == 0 and "BoostFPP-3-19" in out
+        assert enumerated == []
+
     def test_json_format_carries_resilience_note(self, capsys):
         code, out, _ = run_cli(capsys, "table8", "--format", "json")
         assert code == 0
@@ -391,6 +403,22 @@ class TestOracle:
         code, _, _ = run_cli(capsys, "oracle", '{"BoostFPP": {"q": 2, "b": 1}}')
         assert code == 0
         assert searched == [875]
+
+    def test_nothing_on_stderr_by_default(self):
+        # The transversal search logs at DEBUG on the "maskquorum" logger,
+        # which prints nothing unless the caller configures logging.
+        import os
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "maskquorum", "oracle", '{"BoostFPP": {"q": 2, "b": 1}}'],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["ok"] is True
 
     def test_large_composed_exceeds_cap(self, capsys):
         code, _, err = run_cli(capsys, "oracle", LARGE_COMPOSED)

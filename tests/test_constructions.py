@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import maskquorum as mq
 from maskquorum import ElementSet, Rng, build
+from maskquorum.constructions import ThresholdHandle
 from maskquorum.errors import ParameterError, SizeError, UnsupportedOrderError
 
 from oracles import fpp_line_masks
@@ -283,6 +285,18 @@ class TestLivePredicate:
         alive = np.ones((2, 300), dtype=bool)
         alive[1, 150:] = False
         assert handle.live_batch(alive).tolist() == [True, False]
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 77, 300])
+    def test_threshold_count_matches_int64_sum(self, k):
+        # Column adds count blocks of up to 8 columns, einsum the wider ones.
+        # The count is called directly: no ell-of-2 system exists to build.
+        rng = np.random.default_rng(k)
+        alive = rng.random((400, k)) < rng.random((400, 1))
+        for ell in sorted({1, k // 2 + 1, k}):
+            block = SimpleNamespace(spec=SimpleNamespace(k=k, ell=ell))
+            want = alive.sum(axis=1) >= ell
+            for layout in (alive, np.asfortranarray(alive)):
+                assert np.array_equal(ThresholdHandle._live_batch(block, layout), want)
 
 
 def _rt_live_reference(spec, alive):
