@@ -42,9 +42,12 @@ A_MIN_MAX_QUORUMS = 10 ** 4
 LP_MAX_QUORUMS = 10 ** 4
 LP_MAX_N = 10 ** 3
 # Nodes per block of the transversal search, fewer where its popcount
-# temporaries would pass SEARCH_WORDS words (n = 1000, m = 10^4: one node).
+# temporaries would pass SEARCH_WORDS words (n = 1000, m = 10^4: one node) or
+# the children it pushes SEARCH_CHILD_WORDS (n = 1000, m = 200, quorums of
+# about 500 elements: 8 nodes, 17 MB over the system where 64 took 116 MB).
 SEARCH_NODES = 64
 SEARCH_WORDS = 1 << 18
+SEARCH_CHILD_WORDS = 1 << 20
 
 
 class CombinatorialParams(NamedTuple):
@@ -82,67 +85,114 @@ def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     return memo["_min_transversal"]
 
 
+class _Nodes(NamedTuple):
+    """A block of search nodes, one per row."""
+    unhit: np.ndarray   # (F, W) words: the quorums no chosen element meets
+    banned: np.ndarray  # (F, n) bool: the elements the node may not choose
+    chosen: np.ndarray  # (F, n) bool: the elements chosen so far
+    bound: np.ndarray   # (F,) int: a lower bound on every cover below the node
+
+    def take(self, rows) -> _Nodes:
+        return _Nodes(*(a[rows] for a in self))
+
+
 def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     """Branch and bound for the smallest set of elements meeting every quorum.
 
-    Depth first, up to SEARCH_NODES nodes at a time off a stack of blocks.  A
-    node is its unhit quorums as packed words, its banned and chosen elements
-    and a lower bound on the covers below it; one popcount kernel gives every
-    node's element gains (the unhit quorums each meets).  Greedy gives the
-    first incumbent.  A node is finished in place when one allowed element
-    covers every quorum left, and pruned when depth + ceil(left / top gain)
-    cannot beat the incumbent.  Otherwise it branches on the unhit quorum with
-    the fewest allowed elements, by decreasing gain (stable sort), and the
-    child taking the element of rank r bans those of rank < r, so each
-    hitting set is reached in one order.  A better cover prunes the stack.
+    Depth first, up to SEARCH_NODES nodes at a time off a stack of node
+    blocks (``_Nodes``).  One popcount kernel gives every node's element
+    gains (the unhit quorums each meets).  Greedy gives the first incumbent.
+    A node is finished in place when one allowed element covers every quorum
+    left, and pruned when depth + ceil(left / top gain) cannot beat the
+    incumbent; the rest branch (``_children``).  A better cover prunes the
+    stack by the stored bounds.
+
+    The block is capped so that its popcount temporaries stay under
+    SEARCH_WORDS words and the children it pushes under SEARCH_CHILD_WORDS,
+    or to one node; the stack holds at most one block's children for each
+    level of the current path.
     """
     start = time.perf_counter()
     n, m = sys.n, sys.m
     members = unpack_masks(sys.quorum_words, n)
     elem_words = pack_rows(members.T)  # (n, W): the quorums each element meets
-    root = pack_rows(np.ones((1, m), dtype=bool))
-    unhit, best, witness = root, 0, np.zeros(n, dtype=bool)
+    no_elements = np.zeros((1, n), dtype=bool)
+    root = _Nodes(pack_rows(np.ones((1, m), dtype=bool)), no_elements, no_elements,
+                  np.zeros(1, dtype=np.int64))
+    # Greedy: the element meeting the most unhit quorums (the lowest index on
+    # ties) until every quorum is hit.
+    witness, unhit = np.zeros(n, dtype=bool), root.unhit[0]
     while unhit.any():
         e = int(np.argmax(np.bitwise_count(elem_words & unhit).sum(axis=1)))
-        best, witness[e], unhit = best + 1, True, unhit & ~elem_words[e]
-    block = max(1, min(SEARCH_NODES, SEARCH_WORDS // max(elem_words.size, sys.quorum_words.size)))
-    stack, visited = [(root, *np.zeros((2, 1, n), dtype=bool), np.zeros(1, dtype=int))], 0
+        witness[e] = True
+        unhit = unhit & ~elem_words[e]
+    best = int(witness.sum())
+    # A child is two n-byte rows, W words of unhit quorums and its bound; a
+    # node has at most one child per element of its widest quorum.
+    child_words = n // 4 + elem_words.shape[1] + 1
+    children_per_node = int(members.sum(axis=1).max()) * child_words
+    block = max(1, min(SEARCH_NODES, SEARCH_CHILD_WORDS // children_per_node,
+                       SEARCH_WORDS // max(elem_words.size, sys.quorum_words.size)))
+    stack, visited = [root], 0
     while stack:
         nodes = stack.pop()
-        if not len(nodes[0]):
+        if not len(nodes.bound):
             continue
-        stack.append(tuple(a[block:] for a in nodes))
-        unhit, banned, chosen, _ = (a[:block] for a in nodes)
-        visited += len(unhit)
-        depth = chosen.sum(axis=1)
-        gains = np.bitwise_count(unhit[:, None, :] & elem_words[None]).sum(axis=2, dtype=np.int64)
-        gains[banned] = 0
-        left, top = np.bitwise_count(unhit).sum(axis=1, dtype=np.int64), gains.max(axis=1)
+        stack.append(nodes.take(slice(block, None)))
+        nodes = nodes.take(slice(block))
+        visited += len(nodes.bound)
+        depth = nodes.chosen.sum(axis=1)
+        gains = np.bitwise_count(nodes.unhit[:, None, :] & elem_words[None])
+        gains = gains.sum(axis=2, dtype=np.int64)
+        gains[nodes.banned] = 0
+        left = np.bitwise_count(nodes.unhit).sum(axis=1, dtype=np.int64)
+        top = gains.max(axis=1)
+        # One allowed element covers every quorum left: a cover of depth + 1.
         finish = np.where(top == left, depth + 1, best)
         i = int(np.argmin(finish))
         if finish[i] < best:
-            best, witness = int(finish[i]), chosen[i] | (np.arange(n) == np.argmax(gains[i]))
-            stack = [tuple(a[s[-1] < best] for a in s) for s in stack]
+            best = int(finish[i])
+            witness = nodes.chosen[i] | (np.arange(n) == np.argmax(gains[i]))
+            stack = [s.take(s.bound < best) for s in stack]
+        # Branch where an unhit quorum has an allowed element and the bound
+        # can beat the incumbent.
         go = (top > 0) & (top < left) & (depth - (-left // np.maximum(top, 1)) < best)
-        unhit, banned, chosen, depth, gains, left, top = (
-            a[go] for a in (unhit, banned, chosen, depth, gains, left, top))
-        allowed = np.bitwise_count(sys.quorum_words[None] & ~pack_rows(banned)[:, None]).sum(axis=2)
-        is_unhit = np.unpackbits(unhit.view(np.uint8), axis=1, count=m, bitorder="little")
-        q = np.argmin(np.where(is_unhit, allowed, n + 1), axis=1)
-        candidates = members[q] & ~banned
-        order = np.argsort(np.where(candidates, -gains, 1), axis=1, kind="stable")
-        parent, rank = np.nonzero(np.arange(n) < candidates.sum(axis=1)[:, None])
-        e = order[parent, rank]
-        bound = depth[parent] + 1 - (-(left[parent] - gains[parent, e]) // top[parent])
-        keep = bound < best
-        stack.append(tuple(a[keep] for a in (
-            unhit[parent] & ~elem_words[e],
-            banned[parent] | (np.argsort(order, axis=1, kind="stable")[parent] < rank[:, None]),
-            chosen[parent] | (np.arange(n) == e[:, None]), bound)))
+        stack.append(_children(sys.quorum_words, members, elem_words, nodes.take(go),
+                               depth[go], gains[go], left[go], top[go], best))
     logging.getLogger("maskquorum").debug(
         "transversal search: n=%d m=%d nodes=%d size=%d elapsed=%.3f ms",
         n, m, visited, best, 1e3 * (time.perf_counter() - start))
     return best, bools_to_int(witness)
+
+
+def _children(quorum_words: np.ndarray, members: np.ndarray, elem_words: np.ndarray,
+              nodes: _Nodes, depth: np.ndarray, gains: np.ndarray, left: np.ndarray,
+              top: np.ndarray, best: int) -> _Nodes:
+    """The children of each node whose bound can beat ``best``.
+
+    A node branches on its unhit quorum with the fewest allowed elements,
+    taking them by decreasing gain (stable sort); the child taking the
+    element of rank r bans those of rank < r, so each hitting set is reached
+    in one order.  A quorum whose elements are all banned has no children.
+    """
+    n = members.shape[1]
+    allowed = np.bitwise_count(quorum_words[None] & ~pack_rows(nodes.banned)[:, None])
+    allowed = allowed.sum(axis=2)
+    is_unhit = np.unpackbits(nodes.unhit.view(np.uint8), axis=1, count=len(members),
+                             bitorder="little")
+    q = np.argmin(np.where(is_unhit, allowed, n + 1), axis=1)
+    candidates = members[q] & ~nodes.banned
+    order = np.argsort(np.where(candidates, -gains, 1), axis=1, kind="stable")
+    rank_of = np.argsort(order, axis=1, kind="stable").astype(np.min_scalar_type(n))
+    parent, rank = np.nonzero(np.arange(n) < candidates.sum(axis=1)[:, None])
+    e = order[parent, rank]
+    bound = depth[parent] + 1 - (-(left[parent] - gains[parent, e]) // top[parent])
+    keep = bound < best
+    parent, rank, e = parent[keep], rank[keep].astype(rank_of.dtype), e[keep]
+    return _Nodes(nodes.unhit[parent] & ~elem_words[e],
+                  nodes.banned[parent] | (rank_of[parent] < rank[:, None]),
+                  nodes.chosen[parent] | (np.arange(n) == e[:, None]),
+                  bound[keep])
 
 
 def min_transversal_size(sys: ExplicitQuorumSystem) -> int:

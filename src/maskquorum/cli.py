@@ -153,12 +153,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
-def _table8_handles() -> tuple:
-    """The row handles, built once per process so their memos serve every call."""
-    return tuple(build(spec) for spec, *_ in _TABLE8_ROWS)
-
-
 def _table8_rows(p: float, n: int) -> list[dict]:
     if n != 1024:
         raise ParameterError(
@@ -168,7 +162,8 @@ def _table8_rows(p: float, n: int) -> list[dict]:
     published_point = p == 0.125
     p_prime = 1.0 / 7.0 if published_point else None
     rows = []
-    for (spec, kind, bound, paper_value), handle in zip(_TABLE8_ROWS, _table8_handles()):
+    for spec, kind, bound, paper_value in _TABLE8_ROWS:
+        handle = build(spec)
         params = handle.params
         try:
             fp_exact = _fmt6(crash_prob_exact(handle, p).value)

@@ -201,6 +201,17 @@ class TestMinTransversal:
         assert size == 6
         assert nodes > analysis.SEARCH_NODES
 
+    def test_one_node_blocks_find_the_optimum(self, caplog, monkeypatch):
+        # Wide quorums shrink the block so that the children it pushes stay
+        # small; down to one node per block, the search still proves 6.
+        system = build(mq.BoostFPPSpec(2, 1)).materialize(10 ** 4)
+        branched, children = [], analysis._children
+        monkeypatch.setattr(analysis, "_children",
+                            lambda *args: branched.append(len(args[3].bound)) or children(*args))
+        monkeypatch.setattr(analysis, "SEARCH_CHILD_WORDS", 1)
+        assert _searched(system, caplog)[0] == 6
+        assert max(branched) == 1
+
     def test_logs_each_search_at_debug(self, caplog):
         system = build(mq.FPPSpec(3)).materialize(100)
         caplog.set_level(logging.DEBUG, logger="maskquorum")

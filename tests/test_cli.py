@@ -262,18 +262,6 @@ class TestTable8:
         _, out2, _ = run_cli(capsys, "table8")
         assert out1 == out2
 
-    def test_second_call_does_not_enumerate_again(self, capsys, monkeypatch):
-        # The row handles live for the process, so the 2^13 crash profile of
-        # BoostFPP(3,19)'s outer plane is enumerated by the first call only.
-        run_cli(capsys, "table8")
-        enumerated = []
-        profile_of = mq.availability._profile_of
-        monkeypatch.setattr(mq.availability, "_profile_of",
-                            lambda target: enumerated.append(target) or profile_of(target))
-        code, out, _ = run_cli(capsys, "table8", "--p", "0.05")
-        assert code == 0 and "BoostFPP-3-19" in out
-        assert enumerated == []
-
     def test_json_format_carries_resilience_note(self, capsys):
         code, out, _ = run_cli(capsys, "table8", "--format", "json")
         assert code == 0
