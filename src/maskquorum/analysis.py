@@ -6,13 +6,19 @@ fairness, and the exact load via linear programming, together with the
 masking-load lower bounds.
 
 Each question has one route, and all of them read the system's packed quorum
-words.  Pairwise intersections come from one blocked popcount kernel
-(``_bitops.pair_intersections``).  The smallest transversal is a branch and
-bound (``_search_transversal``) on blocks of nodes whose unhit quorums are
-packed words, run once per system object for combinatorial_params,
-masking_level and check_masking's resilience half, and logged at DEBUG on
-the "maskquorum" logger.  Fairness, the load LP and induced loads take the
+words.  The smallest pairwise intersection is ``ExplicitQuorumSystem.
+smallest_pair``: one pass of the blocked popcount kernel
+(``_bitops.pair_intersections``) per system object, shared with
+validate_explicit.  The smallest transversal is a branch and bound
+(``_search_transversal``) on blocks of nodes whose unhit quorums are packed
+words, run once per system object for combinatorial_params, masking_level
+and check_masking's resilience half, and logged at DEBUG on the
+"maskquorum" logger.  Fairness, the load LP and induced loads take the
 incidence matrix from ``unpack_masks`` of the same words.
+
+Only ``load_lp`` needs scipy (``scipy.optimize.linprog``, reached through the
+CLI's ``load`` and ``oracle``), and it imports it when called, so importing
+this module or the package does not load scipy.optimize.
 """
 
 from __future__ import annotations
@@ -24,9 +30,8 @@ from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
-from ._bitops import NO_PAIR, bools_to_int, pack_rows, pair_intersections, unpack_masks
+from ._bitops import bools_to_int, pack_rows, unpack_masks
 from .core import AccessStrategy, ElementSet, ExplicitQuorumSystem, SystemParams
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
 
@@ -54,17 +59,6 @@ class CombinatorialParams(NamedTuple):
     c: int
     i_min: int
     a_min: int
-
-
-def _smallest_pair(sys: ExplicitQuorumSystem) -> tuple[int, int, int] | None:
-    """(size, i, j) of a smallest intersection over quorum pairs i < j, the
-    first such pair in (i, j) order; None for a single-quorum system."""
-    best = None
-    for i0, sizes in pair_intersections(sys.quorum_words):
-        k, j = np.unravel_index(np.argmin(sizes), sizes.shape)
-        if sizes[k, j] != NO_PAIR and (best is None or sizes[k, j] < best[0]):
-            best = (int(sizes[k, j]), i0 + int(k), int(j))
-    return best
 
 
 def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
@@ -211,7 +205,7 @@ def combinatorial_params(sys: ExplicitQuorumSystem) -> CombinatorialParams:
         raise ParameterError("empty quorum system")
     a_min = min_transversal_size(sys)
     c = min(m.bit_count() for m in sys.quorum_masks())
-    pair = _smallest_pair(sys)
+    pair = sys.smallest_pair
     # A single-quorum system has no pair: report the quorum size itself.
     return CombinatorialParams(c, c if pair is None else pair[0], a_min)
 
@@ -250,7 +244,7 @@ def check_masking(sys: ExplicitQuorumSystem, b: int) -> MaskingCheck:
     if b >= sys.n:
         # Crashing the whole universe hits every (non-empty) quorum.
         return MaskingCheck(ok=False, blocking_set=ElementSet.full(sys.n))
-    pair = _smallest_pair(sys)
+    pair = sys.smallest_pair
     if pair is not None and pair[0] < 2 * b + 1:
         return MaskingCheck(ok=False, violating_pair=pair[1:])
     a_min, witness = _min_transversal(sys)
@@ -285,6 +279,8 @@ def load_lp(sys: ExplicitQuorumSystem) -> tuple[float, AccessStrategy]:
     sum_{Q containing u} w(Q) <= t.  Returns the optimal t and a witnessing
     strategy whose induced maximum load equals t (within 1e-9).
     """
+    from scipy.optimize import linprog
+
     if sys.m == 0:
         raise ParameterError("cannot compute the load of an empty system")
     if sys.m > LP_MAX_QUORUMS or sys.n > LP_MAX_N:

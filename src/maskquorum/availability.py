@@ -11,18 +11,22 @@ Monte Carlo share one live predicate, ``live_batch`` on a (T, n) boolean
 matrix, for handles and explicit systems alike; Monte Carlo uses
 counter-based randomness, so estimates are bit-identical for a given seed
 regardless of chunking or thread count.
+
+Only ``rt_critical_probability`` needs scipy (``scipy.optimize.brentq``,
+reached through the RT handle's ``published_bounds``, ``fp --bounds`` on RT
+and ``table8``), and only ``crash_prob_mc`` with more than one worker needs
+a thread pool; each imports it at the call, so the exact and single-worker
+Monte Carlo routes never load scipy.optimize or concurrent.futures.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._bitops import ceil_sqrt, popcount, unpack_masks
 from .constructions import (
@@ -168,6 +172,8 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
     if workers == 1 or len(ranges) == 1:
         crashed = sum(crashed_in(r) for r in ranges)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             crashed = sum(pool.map(crashed_in, ranges))
     value = crashed / trials
@@ -250,6 +256,8 @@ def rt_critical_probability(k: int, ell: int, tol: float = 1e-10) -> CriticalPro
     per instance, never assumed); majority-of-3 for example sits exactly at
     1/2 and reports False.
     """
+    from scipy.optimize import brentq
+
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     if k == ell:

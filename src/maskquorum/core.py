@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._bitops import (
-    BLOCK_WORDS, bools_to_int, iter_bits, pack_ints, pack_rows, pair_intersections,
+    BLOCK_WORDS, NO_PAIR, bools_to_int, iter_bits, pack_ints, pack_rows, pair_intersections,
 )
 from .errors import ParameterError
 
@@ -154,6 +154,20 @@ class ExplicitQuorumSystem:
         words.setflags(write=False)
         return words
 
+    @cached_property
+    def smallest_pair(self) -> tuple[int, int, int] | None:
+        """(size, i, j) of a smallest intersection over quorum pairs i < j, the
+        first such pair in (i, j) order; None for a single-quorum system.
+
+        One pairwise-intersection pass per system, shared by
+        validate_explicit, combinatorial_params and check_masking."""
+        best = None
+        for i0, sizes in pair_intersections(self.quorum_words):
+            k, j = np.unravel_index(np.argmin(sizes), sizes.shape)
+            if sizes[k, j] != NO_PAIR and (best is None or sizes[k, j] < best[0]):
+                best = (int(sizes[k, j]), i0 + int(k), int(j))
+        return best
+
     def closed_form_crash_prob(self, p: float) -> None:
         """An explicit system has no closed form: crash_prob_exact enumerates."""
         return None
@@ -188,13 +202,16 @@ def validate_explicit(sys: ExplicitQuorumSystem) -> ValidationReport:
     """Check that every two quorums intersect.
 
     Construction already enforces distinct, non-empty quorums.  The report
-    lists the disjoint pairs by quorum index rather than raising.
+    lists the disjoint pairs by quorum index rather than raising; they are
+    rescanned only when the smallest intersection is empty.
     """
+    if sys.smallest_pair is None or sys.smallest_pair[0] > 0:
+        return ValidationReport(ok=True)
     violations: list[str] = []
     for i0, sizes in pair_intersections(sys.quorum_words):
         for k, j in zip(*np.nonzero(sizes == 0)):
             violations.append(f"quorums {i0 + k} and {j} are disjoint")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(ok=False, violations=tuple(violations))
 
 
 class AccessStrategy:

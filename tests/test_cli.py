@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's sources: ``python *args``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 THRESHOLD32 = '{"Threshold": {"k": 3, "ell": 2}}'
 # About 1.3e9 outer quorums: anything that walks them does not finish.
 LARGE_COMPOSED = ('{"Composed": {"outer": {"MGrid": {"side": 32, "b": 15}}, '
@@ -23,6 +32,8 @@ LARGE_COMPOSED = ('{"Composed": {"outer": {"MGrid": {"side": 32, "b": 15}}, '
 FPP5 = '{"FPP": {"q": 5}}'
 BOOSTFPP_3_19 = '{"BoostFPP": {"q": 3, "b": 19}}'
 MPATH_32_7 = '{"MPath": {"side": 32, "b": 7}}'
+RT_4_3_5 = '{"RT": {"k": 4, "ell": 3, "h": 5}}'
+MGRID_4_1 = '{"MGrid": {"side": 4, "b": 1}}'
 # Outputs of the published comparison, written by the CLI before its bounds
 # moved onto the handles; compared byte for byte.
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -312,16 +323,8 @@ class TestTable8:
         assert text == (GOLDEN / "fp_bounds.json").read_text()
 
     def test_entry_point_matches_in_process(self, capsys):
-        import os
-
         _, expected, _ = run_cli(capsys, "table8")
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "maskquorum", "table8"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "maskquorum", "table8")
         assert proc.returncode == 0
         assert proc.stdout == expected
 
@@ -392,18 +395,27 @@ class TestOracle:
         assert code == 0
         assert searched == [875]
 
+    def test_one_pairwise_pass_per_system(self, capsys, monkeypatch):
+        # validate_explicit, combinatorial_params and check_masking share
+        # the system's smallest pair.
+        passes = []
+        kernel = mq._bitops.pair_intersections
+
+        def counting_kernel(words):
+            passes.append(len(words))
+            return kernel(words)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("maskquorum.") and hasattr(module, "pair_intersections"):
+                monkeypatch.setattr(module, "pair_intersections", counting_kernel)
+        code, _, _ = run_cli(capsys, "oracle", '{"BoostFPP": {"q": 2, "b": 1}}')
+        assert code == 0
+        assert passes == [875]
+
     def test_nothing_on_stderr_by_default(self):
         # The transversal search logs at DEBUG on the "maskquorum" logger,
         # which prints nothing unless the caller configures logging.
-        import os
-
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "maskquorum", "oracle", '{"BoostFPP": {"q": 2, "b": 1}}'],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "maskquorum", "oracle", '{"BoostFPP": {"q": 2, "b": 1}}')
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["ok"] is True
@@ -412,3 +424,38 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", LARGE_COMPOSED)
         assert code == 3
         assert "exceeding the cap" in err
+
+
+class TestColdStart:
+    """Only the calls that use scipy.optimize or a thread pool import them.
+
+    Checked in fresh interpreters: the test process has scipy loaded already.
+    """
+
+    def test_fp_and_params_load_neither(self):
+        script = f"""
+import json, sys
+import maskquorum as mq, maskquorum.cli
+mq.build(mq.MGridSpec(4, 1)).sample_quorum(mq.Rng(0).generator())
+for argv in (["fp", {RT_4_3_5!r}, "--p", "0.125", "--mc", "--workers", "1",
+              "--trials", "2000"],
+             ["fp", {MGRID_4_1!r}, "--p", "0.125", "--exact"],
+             ["params", {RT_4_3_5!r}]):
+    assert maskquorum.cli.main(argv) == 0, argv
+print(json.dumps([m for m in ("scipy.optimize", "concurrent.futures") if m in sys.modules]))
+"""
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("load", '{"FPP": {"q": 3}}'),
+        ("oracle", '{"Threshold": {"k": 4, "ell": 3}}'),
+        ("fp", '{"RT": {"k": 4, "ell": 3, "h": 2}}', "--p", "0.125", "--bounds"),
+    ], ids=["load", "oracle", "fp-bounds"])
+    def test_scipy_calls_match_in_process(self, capsys, argv):
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        proc = run_python("-m", "maskquorum", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
