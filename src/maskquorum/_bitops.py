@@ -37,12 +37,17 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view(dtype).reshape(t, padded.shape[1] // width)
 
 
-def pack_ints(masks: list[int], n: int) -> np.ndarray:
-    """pack_rows of the (T, n) membership matrix of Python-integer masks."""
+def unpack_ints(masks: list[int], n: int) -> np.ndarray:
+    """The (T, n) boolean membership matrix of Python-integer masks."""
     nbytes = (n + 7) // 8
     raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=n, bitorder="little")
-    return pack_rows(bits.astype(bool))
+    return bits.astype(bool)
+
+
+def pack_ints(masks: list[int], n: int) -> np.ndarray:
+    """pack_rows of the (T, n) membership matrix of Python-integer masks."""
+    return pack_rows(unpack_ints(masks, n))
 
 
 def pair_intersections(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -178,56 +178,72 @@ def mpath_live(side: int, r: int, alive: ElementSet) -> bool:
 # Packed-bitmask connectivity (the r = 1 case, vectorised over many alive sets)
 # ---------------------------------------------------------------------------
 
-def _side_masks(side: int, dtype) -> dict:
-    n = side * side
-    full = (1 << n) - 1
-    col0 = sum(1 << (i * side) for i in range(side))
-    col_last = sum(1 << (i * side + side - 1) for i in range(side))
-    row0 = (1 << side) - 1
-    row_last = row0 << (side * (side - 1))
-    return {
-        "full": dtype(full),
-        "col0": dtype(col0),
-        "col_last": dtype(col_last),
-        "row0": dtype(row0 & full),
-        "row_last": dtype(row_last & full),
-        "not_col0": dtype(full & ~col0),
-        "not_col_last": dtype(full & ~col_last),
-    }
+# Bytes of each flood-fill buffer: 2^16 masks of uint16, 2^15 of uint32 or
+# 2^14 of uint64 per batch.  Each batch iterates until its own slowest mask
+# converges, in buffers that stay in cache: both fills of the 2^20 side-5
+# subsets took 219 ms as whole-array fills that allocated every step, and 65
+# ms in batches (2-vCPU Xeon); 2^16 uint64 masks per batch ran 50% slower at
+# side 8.
+_FLOOD_BYTES = 1 << 17
 
 
 def connected_batch(masks: np.ndarray, side: int, orientation: Orientation) -> np.ndarray:
     """Vectorised crossing test: does each packed alive-mask contain an open path?
 
     Equivalent to ``max_disjoint_paths(...) >= 1`` for every mask; implemented
-    as a bit-parallel flood fill.  Requires side*side <= 64 and masks of dtype
-    uint32 (n <= 32) or uint64.
+    as a bit-parallel flood fill.  Requires side*side <= 64 and unsigned
+    masks of at least side*side bits; bits past side*side are ignored.  Each
+    mask is narrowed to the smallest unsigned word that holds side*side bits
+    (uint16 at sides 3 and 4), and the fill runs on batches of _FLOOD_BYTES-byte
+    preallocated buffers, so a batch stops when its own masks converge.
     """
     _check_orientation(orientation)
     n = side * side
     if n > 64:
         raise ParameterError("connected_batch supports side*side <= 64")
-    dtype = masks.dtype.type
-    mk = _side_masks(side, dtype)
-    if orientation == LR:
-        start, target = mk["col0"], mk["col_last"]
-    else:
-        start, target = mk["row0"], mk["row_last"]
-    s1, ss, sd = dtype(1), dtype(side), dtype(side - 1)
-    zero = dtype(0)
+    masks = np.asarray(masks)
+    if masks.dtype.kind != "u" or masks.dtype.itemsize * 8 < n:
+        raise ParameterError(
+            f"connected_batch needs unsigned masks of at least n = {n} bits "
+            f"(side {side}), got dtype {masks.dtype}")
+    full = (1 << n) - 1
+    word = np.min_scalar_type(full).type
+    col0 = sum(1 << (i * side) for i in range(side))
+    col_last = col0 << (side - 1)
+    row0 = (1 << side) - 1
+    row_last = row0 << (n - side)
+    start, target = (col0, col_last) if orientation == LR else (row0, row_last)
+    not_col0, not_col_last = word(full & ~col0), word(full & ~col_last)
+    s1, ss = word(1), word(side)
 
-    alive = masks & mk["full"]
-    reach = alive & start
-    while True:
-        grow = reach.copy()
-        grow |= (reach << s1) & mk["not_col0"]       # (i, j+1)
-        grow |= (reach >> s1) & mk["not_col_last"]   # (i, j-1)
-        grow |= reach << ss                          # (i+1, j)
-        grow |= reach >> ss                          # (i-1, j)
-        if side > 1:
-            grow |= (reach >> sd) & mk["not_col0"]       # (i-1, j+1)
-            grow |= (reach << sd) & mk["not_col_last"]   # (i+1, j-1)
-        grow &= alive
-        if np.array_equal(grow, reach):
-            return (reach & target) != zero
-        reach = grow
+    alive = (masks & full).astype(word)
+    out = np.empty(len(alive), dtype=bool)
+    batch = _FLOOD_BYTES // alive.itemsize
+    reach, grow, t1, t2 = (np.empty(min(len(alive), batch), dtype=word) for _ in range(4))
+    for lo in range(0, len(alive), batch):
+        a = alive[lo:lo + batch]
+        r, g, u, d = reach[:len(a)], grow[:len(a)], t1[:len(a)], t2[:len(a)]
+        np.bitwise_and(a, word(start), out=r)
+        while True:
+            # u = r | r>>side and d = r | r<<side reach (i-1, j) and (i+1, j);
+            # u<<1 and d>>1 add (i, j+1), (i-1, j+1) and (i, j-1), (i+1, j-1).
+            # A bit the shifts move across a row end lands in the masked-off
+            # column or past bit n, where `a` clears it.
+            np.right_shift(r, ss, out=u)
+            u |= r
+            np.left_shift(r, ss, out=d)
+            d |= r
+            np.bitwise_or(u, d, out=g)
+            u <<= s1
+            u &= not_col0
+            g |= u
+            d >>= s1
+            d &= not_col_last
+            g |= d
+            g &= a
+            if np.array_equal(g, r):
+                break
+            r, g = g, r
+        np.bitwise_and(r, word(target), out=u)
+        np.not_equal(u, 0, out=out[lo:lo + len(a)])
+    return out

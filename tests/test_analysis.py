@@ -295,6 +295,18 @@ class TestLoadLp:
             f = mq.min_transversal_size(system) - 1
             assert f <= system.n * value + 1e-6, name
 
+    def test_unfair_wheel(self):
+        # Spokes {0,1}, {0,2}, {0,3} and rim {1,2,3}.  With weights w1..w3 on
+        # the spokes and w4 on the rim, 2*load(0) + load(1) + load(2) + load(3)
+        # = 3 * sum(w) = 3, so the load is at least 3/5, and spokes of 1/5
+        # with a rim of 2/5 put exactly 3/5 on every element.
+        system = ExplicitQuorumSystem.from_masks(4, [0b0011, 0b0101, 0b1001, 0b1110])
+        assert not mq.is_fair(system)
+        value, strategy = mq.load_lp(system)
+        assert value == pytest.approx(3 / 5, abs=1e-9)
+        assert strategy.weights == pytest.approx([0.2, 0.2, 0.2, 0.4], abs=1e-9)
+        assert mq.induced_load(system, strategy).max == pytest.approx(value, abs=1e-9)
+
     def test_empty_system(self):
         with pytest.raises(ParameterError):
             mq.load_lp(ExplicitQuorumSystem(3, ()))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maskquorum import ElementSet
+from maskquorum import ElementSet, MPathSpec, build
 from maskquorum.errors import ParameterError
 from maskquorum.paths import (LR, TB, TriGrid, connected_batch, disjoint_path_counts,
                               max_disjoint_paths, mpath_live)
@@ -218,6 +218,34 @@ class TestConnectedBatch:
         masks = np.array([(1 << 36) - 1, 0], dtype=np.uint64)
         got = connected_batch(masks, 6, LR)
         assert got.tolist() == [True, False]
+
+    @pytest.mark.parametrize("dtype, side", [(np.uint32, 6), (np.uint16, 5),
+                                             (np.uint8, 3), (np.int64, 2)])
+    def test_masks_without_room_for_the_grid(self, dtype, side):
+        masks = np.zeros(3, dtype=dtype)
+        with pytest.raises(ParameterError, match=rf"n = {side * side}\b.*{np.dtype(dtype)}"):
+            connected_batch(masks, side, LR)
+
+    def test_bits_past_the_grid_are_ignored(self):
+        masks = np.array([0xFFFF_FFFF_FFFF_0000, 0xFFFF], dtype=np.uint64)
+        assert connected_batch(masks, 4, TB).tolist() == [False, True]
+
+
+class TestMPathFloodRoute:
+    """MPath at r = 1 answers with two flood fills; the dual fill at cap 2
+    answers the same question another way."""
+
+    @pytest.mark.parametrize("side", [3, 4, 5, 7, 8])
+    def test_matches_dual_fill_across_batches(self, side):
+        n = side * side
+        rows = (1 << 16) + 123  # past one batch of every word width
+        rng = np.random.default_rng(side)
+        density = rng.uniform(0.3, 0.8, size=(rows, 1))
+        alive = rng.random((rows, n)) < density
+        got = build(MPathSpec(side, 0)).live_batch(alive)
+        want = (disjoint_path_counts(side, alive, 2) >= 1).all(axis=1)
+        assert np.array_equal(got, want)
+        assert 0 < got.sum() < rows
 
 
 class TestCrossingProperty:
