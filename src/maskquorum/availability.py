@@ -21,8 +21,10 @@ Monte Carlo routes never load scipy.optimize or concurrent.futures.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,9 +114,11 @@ def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
     server crashes independently with probability p.
 
     From the target's closed form at any n where it has one; otherwise by
-    enumeration, which requires n <= 25.
+    enumeration, which requires n <= 25.  Logs the route, n, p and the
+    elapsed time at DEBUG on the "maskquorum" logger.
     """
     _check_probability(p)
+    start = time.perf_counter()
     value = target.closed_form_crash_prob(p)
     route = "closed_form"
     if value is None:
@@ -123,6 +127,9 @@ def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
         d = np.arange(n + 1)
         value = float(np.sum(profile * np.power(p, d) * np.power(1.0 - p, n - d)))
         route = "enumeration"
+    logging.getLogger("maskquorum").debug(
+        "crash_prob_exact: route=%s n=%d p=%g elapsed=%.3f ms",
+        route, target.n, p, 1e3 * (time.perf_counter() - start))
     return EstimateResult(value=min(max(value, 0.0), 1.0), kind="exact", route=route)
 
 
@@ -153,9 +160,11 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
     the MASKQUORUM_THREADS environment variable, then the CPU count.
     Crossing-paths systems gain nothing from more workers: their
     dual-crossing fill runs as many short numpy calls, and the Python code
-    between them holds the interpreter lock.
+    between them holds the interpreter lock.  Logs n, p, the trials, seed,
+    workers, chunks and the elapsed time at DEBUG on the "maskquorum" logger.
     """
     _check_probability(p)
+    start = time.perf_counter()
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     workers = _resolve_workers(workers)
@@ -177,6 +186,10 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             crashed = sum(pool.map(crashed_in, ranges))
     value = crashed / trials
+    logging.getLogger("maskquorum").debug(
+        "crash_prob_mc: route=monte_carlo n=%d p=%g trials=%d seed=%d workers=%d chunks=%d "
+        "elapsed=%.3f ms", n, p, trials, seed, workers, len(ranges),
+        1e3 * (time.perf_counter() - start))
     return EstimateResult(value=value, kind="monte_carlo", route="monte_carlo",
                           trials=trials, seed=seed,
                           std_error=math.sqrt(value * (1.0 - value) / trials))

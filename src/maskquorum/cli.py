@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._bitops import unpack_ints
 from .analysis import (
     LP_MAX_N,
     LP_MAX_QUORUMS,
@@ -242,8 +241,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             mismatches.append(f"live: quorum alive but handle dead (trial {trial})")
         elif handle.lists_every_quorum:
             mismatches.append(f"live: handle alive but no quorum alive (trial {trial})")
-    quorums = unpack_ints([handle.sample_quorum(gen).mask for _ in range(100)], n)
-    if not handle.live_batch(quorums).all():
+    if not handle.live_batch(handle.sample_quorums(gen, 100)).all():
         mismatches.append("sampled quorum is not live")
 
     fair = is_fair(system)

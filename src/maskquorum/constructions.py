@@ -1,17 +1,18 @@
 """Builders for the masking quorum-system families.
 
 Each builder returns a QuorumSystemHandle exposing closed-form combinatorial
-parameters, a live-quorum predicate, a load-optimal quorum sampler, and (for
-small instances) materialization to an ExplicitQuorumSystem.  MGrid and MPath
-share one row/column handle, FPP answers from its explicit plane, and
-BoostFPP and RT are compositions: RT(k, ell, h) is Threshold(k, ell) composed
-over RT(k, ell, h-1), ending in the 1-of-1 block at h = 1, and keeps only its
-own sampler and bounds.  MPath materializes only its straight-path quorums, so
-it and every composition containing it report lists_every_quorum = False.
-Threshold, MGrid and every composition give their exact crash probability in
-closed form (closed_form_crash_prob); FPP and MPath leave it to 2^n
-enumeration.  Each handle also names its published crash-probability
-bounds (published_bounds): the general lower bounds, plus its family's own.
+parameters, a live-quorum predicate, a batched quorum sampler (load-optimal
+but for MPath's; see MPathHandle), and (for small instances) materialization
+to an ExplicitQuorumSystem.  MGrid and MPath share one row/column handle,
+FPP answers from its explicit plane, and BoostFPP and RT are compositions:
+RT(k, ell, h) is Threshold(k, ell) composed over RT(k, ell, h-1), ending in
+the 1-of-1 block at h = 1, and keeps only its own sampler and bounds.  MPath
+materializes only its straight-path quorums, so it and every composition
+containing it report lists_every_quorum = False.  Threshold, MGrid and every
+composition give their exact crash probability in closed form
+(closed_form_crash_prob); FPP and MPath leave it to 2^n enumeration.  Each
+handle also names its published crash-probability bounds (published_bounds):
+the general lower bounds, plus its family's own.
 
 Canonical element numbering: grid cell (i, j) -> i*side + j (0-based);
 recursive-threshold leaves are numbered left to right; in a composition the
@@ -28,7 +29,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from ._bitops import bools_to_int, ceil_sqrt, iter_bits, pack_rows
+from ._bitops import bools_to_int, ceil_sqrt, pack_rows, unpack_ints
 from .composition import compose_params, iter_composed_masks
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ApplicabilityError, ParameterError, SizeError, UnsupportedOrderError
@@ -59,6 +60,19 @@ def _is_prime(q: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _uniform_subsets(gen: np.random.Generator, rows: int, k: int, ell: int) -> np.ndarray:
+    """(rows, ell) indices, each row a uniform ell-subset of range(k): the
+    first ell entries of the argsort of its row of one gen.random call."""
+    return gen.random((rows, k)).argsort(axis=1)[:, :ell]
+
+
+def _member_matrix(picks: np.ndarray, width: int) -> np.ndarray:
+    """The (len(picks), width) boolean matrix whose row t has members picks[t]."""
+    out = np.zeros((len(picks), width), dtype=bool)
+    out[np.arange(len(picks))[:, None], picks] = True
+    return out
 
 
 def _require_int_fields(spec) -> None:
@@ -314,11 +328,18 @@ class QuorumSystemHandle:
         return self.n <= EXACT_MAX_N
 
     def sample_quorum(self, rng: Rng | np.random.Generator) -> ElementSet:
-        """Draw a quorum from the construction's load-optimal access strategy."""
-        gen = rng.generator() if isinstance(rng, Rng) else rng
-        return ElementSet(self.params.n, self._sample_mask(gen))
+        """One quorum: row 0 of sample_quorums(rng, 1)."""
+        return ElementSet(self.params.n, bools_to_int(self.sample_quorums(rng, 1)[0]))
 
-    def _sample_mask(self, gen: np.random.Generator) -> int:
+    def sample_quorums(self, rng: Rng | np.random.Generator, count: int) -> np.ndarray:
+        """count draws from the construction's access strategy, as a (count, n)
+        boolean matrix; a batch need not equal count successive single draws."""
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ParameterError(f"quorum count must be a non-negative integer, got {count!r}")
+        gen = rng.generator() if isinstance(rng, Rng) else rng
+        return self._sample_quorums(gen, int(count))
+
+    def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
     def quorum_count(self) -> int:
@@ -364,9 +385,9 @@ class ThresholdHandle(QuorumSystemHandle):
         from .availability import threshold_g
         return threshold_g(self.spec.k, self.spec.ell, p).exact
 
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        picks = gen.choice(self.spec.k, self.spec.ell, replace=False)
-        return sum(1 << int(i) for i in picks)
+    def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        k = self.spec.k
+        return _member_matrix(_uniform_subsets(gen, count, k, self.spec.ell), k)
 
     def quorum_count(self) -> int:
         return math.comb(self.spec.k, self.spec.ell)
@@ -392,11 +413,12 @@ class _RowColumnHandle(QuorumSystemHandle):
         first = sum(1 << (i * side) for i in range(side))
         self._cols = [first << j for j in range(side)]
 
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        # Rows are pairwise disjoint, and so are columns, so a sum is their union.
+    def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        # Draw rows 2i and 2i+1 pick quorum i's rows, then its columns.
         side = self.spec.side
-        rows = sum(self._rows[i] for i in gen.choice(side, self.g, replace=False))
-        return rows | sum(self._cols[j] for j in gen.choice(side, self.g, replace=False))
+        lines = _member_matrix(_uniform_subsets(gen, 2 * count, side, self.g), side)
+        rows, cols = lines[0::2, :, None], lines[1::2, None, :]
+        return (rows | cols).reshape(count, side * side)
 
     def quorum_count(self) -> int:
         return math.comb(self.spec.side, self.g) ** 2
@@ -424,10 +446,12 @@ class MGridHandle(_RowColumnHandle):
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         side, g = self.spec.side, self.g
+        # Strided ANDs beat all(axis=...) on the short axes: 116 against
+        # 301 ms on 2^20 subsets of MGrid(5,2) (2-vCPU Xeon).
         grid = alive.reshape(len(alive), side, side)
-        full_rows = grid.all(axis=2).sum(axis=1)
-        full_cols = grid.all(axis=1).sum(axis=1)
-        return (full_rows >= g) & (full_cols >= g)
+        full_rows = reduce(np.logical_and, (grid[:, :, j] for j in range(side)))
+        full_cols = reduce(np.logical_and, (grid[:, i, :] for i in range(side)))
+        return (full_rows.sum(axis=1) >= g) & (full_cols.sum(axis=1) >= g)
 
     def closed_form_crash_prob(self, p: float) -> float:
         from .availability import mgrid_fp_exact
@@ -468,11 +492,16 @@ class FPPHandle(QuorumSystemHandle):
     def _plane(self) -> ExplicitQuorumSystem:
         return fpp_lines(self.spec.q)
 
+    @cached_property
+    def _lines(self) -> np.ndarray:
+        """The plane's (n, n) incidence: row i is line i as a boolean vector."""
+        return unpack_ints(self._plane.quorum_masks(), self.params.n)
+
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         return self._plane.live_batch(alive)
 
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        return self._plane.quorums[int(gen.integers(self.params.n))].mask
+    def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return self._lines[gen.integers(self.params.n, size=count)]
 
     def quorum_count(self) -> int:
         return self.params.n
@@ -508,12 +537,13 @@ class ComposedHandle(QuorumSystemHandle):
     def exact_by_default(self) -> bool:
         return self.outer.exact_by_default and self.inner.exact_by_default
 
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        n_r = self.inner.n
-        mask = 0
-        for i in iter_bits(self.outer._sample_mask(gen)):
-            mask |= self.inner._sample_mask(gen) << (i * n_r)
-        return mask
+    def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        # The outer batch, then one inner draw per outer member in nonzero's
+        # order: by quorum, then by ascending member.
+        quorum, member = np.nonzero(self.outer._sample_quorums(gen, count))
+        out = np.zeros((count, self.outer.n, self.inner.n), dtype=bool)
+        out[quorum, member] = self.inner._sample_quorums(gen, len(quorum))
+        return out.reshape(count, self.params.n)
 
     def quorum_count(self) -> int:
         # Every quorum of every handle has exactly params.c members.
@@ -560,18 +590,16 @@ class RTHandle(ComposedHandle):
         yield "rt_fp_upper", rt_fp_upper(k, ell, self.spec.h, p)
         yield "rt_critical_probability", rt_critical_probability(k, ell).value
 
-    def _sample_mask(self, gen: np.random.Generator) -> int:
-        # Level by level, each node keeps a uniform ell-subset of its k
-        # children (the first ell of a random permutation); child c of node v
-        # is node v*k + c one level down, and the last level holds the leaves.
+    def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        # Level by level, each node (quorum by quorum) keeps a uniform
+        # ell-subset of its k children; child c of node v is node v*k + c one
+        # level down, and the last level holds the leaves.
         k, ell = self.spec.k, self.spec.ell
-        nodes = np.zeros(1, dtype=np.int64)
+        nodes = np.zeros((count, 1), dtype=np.int64)
         for _ in range(self.spec.h):
-            picks = gen.random((len(nodes), k)).argsort(axis=1)[:, :ell]
-            nodes = (nodes[:, None] * k + picks).ravel()
-        leaves = np.zeros(self.params.n, dtype=bool)
-        leaves[nodes] = True
-        return bools_to_int(leaves)
+            picks = _uniform_subsets(gen, nodes.size, k, ell)
+            nodes = (nodes.reshape(-1, 1) * k + picks).reshape(count, nodes.shape[1] * ell)
+        return _member_matrix(nodes, self.params.n)
 
 
 class MPathHandle(_RowColumnHandle):
@@ -579,7 +607,9 @@ class MPathHandle(_RowColumnHandle):
 
     Analytic parameters report the straight-path quorum size 2*r*side - r^2 and
     the crossing-argument intersection bound r^2.  Sampling and materialization
-    use straight rows/columns only, so materialize lists only some quorums.
+    use straight rows/columns only: materialize lists only some quorums, and
+    the straight-path strategy's load params.load only bounds the full
+    system's load from above (MPath(3,0): 0.5556 against an LP load of 0.5).
     Liveness asks disjoint_path_counts for both orientations' path counts
     capped at r: a dual-crossing fill on row words.  When r = 1 and n <= 64 it
     asks the packed flood fill connected_batch instead, once per orientation.

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +180,40 @@ class TestCrashProbMc:
     def test_trials_validated(self):
         with pytest.raises(ParameterError):
             mq.crash_prob_mc(build(mq.ThresholdSpec(3, 2)), 0.5, trials=0, seed=0)
+
+
+class TestRouteLogging:
+    """crash_prob_exact and crash_prob_mc log their route at DEBUG."""
+
+    @staticmethod
+    def _messages(caplog, prefix):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "maskquorum" and r.levelname == "DEBUG"
+                and r.getMessage().startswith(prefix)]
+
+    def test_exact_logs_route_n_p_and_time(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="maskquorum")
+        mq.crash_prob_exact(build(mq.FPPSpec(2)), 0.25)
+        mq.crash_prob_exact(build(mq.ThresholdSpec(3, 2)), 0.5)
+        enum, closed = self._messages(caplog, "crash_prob_exact:")
+        assert re.fullmatch(r"crash_prob_exact: route=enumeration n=7 p=0\.25 "
+                            r"elapsed=\d+\.\d{3} ms", enum)
+        assert re.fullmatch(r"crash_prob_exact: route=closed_form n=3 p=0\.5 "
+                            r"elapsed=\d+\.\d{3} ms", closed)
+
+    def test_mc_logs_trials_seed_workers_and_chunks(self, caplog, monkeypatch):
+        monkeypatch.setattr(availability, "_MC_DOUBLES_PER_CHUNK", 9 * 100)
+        caplog.set_level(logging.DEBUG, logger="maskquorum")
+        mq.crash_prob_mc(build(mq.MGridSpec(3, 0)), 0.3, trials=1000, seed=4, workers=2)
+        [line] = self._messages(caplog, "crash_prob_mc:")
+        assert re.fullmatch(r"crash_prob_mc: route=monte_carlo n=9 p=0\.3 trials=1000 "
+                            r"seed=4 workers=2 chunks=10 elapsed=\d+\.\d{3} ms", line)
+
+    def test_silent_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="maskquorum")
+        mq.crash_prob_exact(build(mq.ThresholdSpec(3, 2)), 0.5)
+        mq.crash_prob_mc(build(mq.ThresholdSpec(3, 2)), 0.5, trials=100, seed=0, workers=1)
+        assert not [r for r in caplog.records if r.name == "maskquorum"]
 
 
 class TestFpLowerBounds:

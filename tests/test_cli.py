@@ -437,6 +437,8 @@ class TestColdStart:
 import json, sys
 import maskquorum as mq, maskquorum.cli
 mq.build(mq.MGridSpec(4, 1)).sample_quorum(mq.Rng(0).generator())
+for spec in (mq.RTSpec(4, 3, 5), mq.BoostFPPSpec(3, 19), mq.MPathSpec(32, 7)):
+    assert mq.build(spec).sample_quorums(mq.Rng(0), 100).shape[0] == 100
 for argv in (["fp", {RT_4_3_5!r}, "--p", "0.125", "--mc", "--workers", "1",
               "--trials", "2000"],
              ["fp", {MGRID_4_1!r}, "--p", "0.125", "--exact"],

@@ -369,6 +369,74 @@ class TestSampler:
         assert handle.sample_quorum(Rng(1).at(5)) == handle.sample_quorum(Rng(1).at(5))
 
 
+def _row_masks(rows):
+    """The Python-integer mask of each row of a boolean matrix."""
+    return [sum(1 << int(i) for i in np.flatnonzero(row)) for row in rows]
+
+
+class TestSampleQuorums:
+    """The batched sampler: shape, validation, agreement with single draws,
+    support and uniformity."""
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_shape_and_dtype(self, handles, count):
+        for name, handle in handles.items():
+            got = handle.sample_quorums(Rng(2).generator(), count)
+            assert got.shape == (count, handle.n) and got.dtype == bool, name
+            assert (got.sum(axis=1) == handle.params.c).all(), name
+
+    @pytest.mark.parametrize("count", [-1, 2.0, "3", None, True])
+    def test_bad_count(self, count):
+        with pytest.raises(ParameterError, match="count"):
+            build(mq.RTSpec(3, 2, 2)).sample_quorums(Rng(0).generator(), count)
+
+    def test_numpy_integer_count(self):
+        got = build(mq.FPPSpec(2)).sample_quorums(Rng(0), np.int64(3))
+        assert got.shape == (3, 7)
+
+    def test_row_zero_is_the_single_draw(self, handles):
+        composed = build(mq.ComposedSpec(mq.FPPSpec(2), mq.ThresholdSpec(3, 2)))
+        for name, handle in {**handles, "FPP(2)oT(3,2)": composed}.items():
+            for seed in range(3):
+                batch = handle.sample_quorums(Rng(seed).generator(), 1)
+                single = handle.sample_quorum(Rng(seed).generator())
+                assert np.array_equal(batch[0], single.as_bool()), (name, seed)
+
+    @pytest.mark.parametrize("spec", [
+        mq.MGridSpec(4, 1), mq.RTSpec(3, 2, 2), mq.BoostFPPSpec(2, 1), mq.FPPSpec(3),
+        mq.ThresholdSpec(5, 4),
+    ])
+    def test_every_row_is_a_quorum(self, spec):
+        handle = build(spec)
+        quorums = set(handle.iter_quorum_masks())
+        rows = handle.sample_quorums(Rng(12).generator(), 2000)
+        assert set(_row_masks(rows)) <= quorums
+
+    def test_rt_batch_chi_square(self):
+        # Uniform over the 27 quorums of RT(3,2,2); the seed was fixed before
+        # the first run.  The 1 - 1e-4 quantile of chi-square with 26
+        # degrees of freedom is 61.66 (scipy.stats.chi2.ppf).
+        handle = build(mq.RTSpec(3, 2, 2))
+        index = {mask: i for i, mask in enumerate(handle.iter_quorum_masks())}
+        draws = 27_000
+        rows = handle.sample_quorums(Rng(1607).generator(), draws)
+        counts = np.bincount([index[m] for m in _row_masks(rows)], minlength=27)
+        expected = draws / 27
+        assert ((counts - expected) ** 2 / expected).sum() < 61.66
+
+    @pytest.mark.parametrize("spec, want", [
+        (mq.RTSpec(3, 2, 2), [0x35, 0x33, 0x1a8, 0xd8, 0xf0, 0xe8]),
+        (mq.RTSpec(4, 3, 2), [0xe0ee, 0xb07d, 0xd7b0, 0xbd0e, 0xd70b, 0xbbb0]),
+        (mq.FPPSpec(3), [0x8c4, 0xf, 0x492, 0x1242, 0x624, 0x922]),
+    ])
+    def test_rt_and_fpp_single_draws_are_pinned(self, spec, want):
+        # The single draws of the per-draw samplers that the batched one
+        # replaced, on Rng(8).generator().
+        handle = build(spec)
+        gen = Rng(8).generator()
+        assert [handle.sample_quorum(gen).mask for _ in want] == want
+
+
 class TestMaterialize:
     def test_counts(self):
         assert build(mq.MGridSpec(4, 1)).quorum_count() == math.comb(4, 2) ** 2 == 36
@@ -426,9 +494,9 @@ class TestDrawAndEnumerationOrder:
         gen, ref = Rng(5).generator(), Rng(5).generator()
         for _ in range(100):
             want = 0
-            for i in ref.choice(spec.side, g, replace=False):
+            for i in ref.random(spec.side).argsort()[:g]:
                 want |= rows[i]
-            for j in ref.choice(spec.side, g, replace=False):
+            for j in ref.random(spec.side).argsort()[:g]:
                 want |= cols[j]
             assert handle.sample_quorum(gen).mask == want
 
@@ -459,7 +527,7 @@ class TestDrawAndEnumerationOrder:
         for _ in range(50):
             want = 0
             for point in lines[ref.integers(len(lines))].members():
-                for i in ref.choice(k, ell, replace=False):
+                for i in ref.random(k).argsort()[:ell]:
                     want |= 1 << (point * k + int(i))
             assert handle.sample_quorum(gen).mask == want
 

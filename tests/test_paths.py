@@ -262,6 +262,20 @@ class TestCrossingProperty:
         complements = (~masks) & np.uint32((1 << n) - 1)
         assert not np.any(lr_ok & tb_ok[complements])
 
+    @pytest.mark.parametrize("side", [2, 3, 4])
+    def test_exactly_half_the_alive_sets_cross(self, side):
+        # The Hex anchor: S crosses LR iff its complement does not cross TB,
+        # and transposing the grid swaps LR and TB, so exactly 2^(n-1) of the
+        # 2^n alive sets cross in each orientation.  The dual fill at cap 2
+        # counts the same crossings without the cap-1 flood fill.
+        n = side * side
+        masks = np.arange(1 << n, dtype=np.uint32)
+        alive = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+        dual = disjoint_path_counts(side, alive, 2) >= 1
+        for column, orientation in enumerate((LR, TB)):
+            assert connected_batch(masks, side, orientation).sum() == 1 << (n - 1)
+            assert dual[:, column].sum() == 1 << (n - 1)
+
     @pytest.mark.parametrize("side", [2, 3])
     def test_agrees_with_direct_path_pair_enumeration(self, side):
         g = TriGrid(side)
