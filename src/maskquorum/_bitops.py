@@ -21,6 +21,11 @@ def popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
+def _word_layout(n: int) -> tuple[int, type]:
+    """Bits and dtype of one pack_rows word for n columns."""
+    return (32, np.uint32) if n <= 32 else (64, np.uint64)
+
+
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a (T, n) boolean matrix into a (T, W) matrix of unsigned words.
 
@@ -28,26 +33,21 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     for n <= 32 and ceil(n / 64) uint64 (w = 64) otherwise.
     """
     t, n = bits.shape
-    width = 32 if n <= 32 else 64
+    width, dtype = _word_layout(n)
     padded = np.zeros((t, -(-n // width) * width), dtype=bool)
     padded[:, :n] = bits
     # Rows are whole words, so one flat packbits (faster than axis=1) packs each.
     packed = np.packbits(padded.ravel(), bitorder="little")
-    dtype = np.uint32 if width == 32 else np.uint64
     return packed.view(dtype).reshape(t, padded.shape[1] // width)
 
 
-def unpack_ints(masks: list[int], n: int) -> np.ndarray:
-    """The (T, n) boolean membership matrix of Python-integer masks."""
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=n, bitorder="little")
-    return bits.astype(bool)
-
-
 def pack_ints(masks: list[int], n: int) -> np.ndarray:
-    """pack_rows of the (T, n) membership matrix of Python-integer masks."""
-    return pack_rows(unpack_ints(masks, n))
+    """pack_rows of the (T, n) membership matrix of Python-integer masks, read
+    straight from each mask's little-endian bytes; the words are read-only."""
+    width, dtype = _word_layout(n)
+    words = -(-n // width)
+    raw = b"".join(m.to_bytes(words * width // 8, "little") for m in masks)
+    return np.frombuffer(raw, dtype=dtype).reshape(len(masks), words)
 
 
 def pair_intersections(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -71,7 +71,8 @@ def pair_intersections(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def unpack_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """Expand integer masks into a (T, n) boolean matrix (bit j -> column j)."""
+    """Expand integer masks, or the (T, W) word rows of pack_rows, into a
+    (T, n) boolean matrix (bit j -> column j)."""
     bits = np.unpackbits(
         np.ascontiguousarray(masks).view(np.uint8),
         bitorder="little",

@@ -108,6 +108,20 @@ def crash_profile(target: ExplicitQuorumSystem | QuorumSystemHandle) -> np.ndarr
     return memo["_crash_profile"]
 
 
+def _exact_value(target: ExplicitQuorumSystem | QuorumSystemHandle,
+                 p: float) -> tuple[float, str]:
+    """(crash probability, route) from the target's closed form, or else by
+    enumeration; unchecked, unclamped and unlogged, for crash_prob_exact and
+    the parts of a composition."""
+    value = target.closed_form_crash_prob(p)
+    if value is not None:
+        return value, "closed_form"
+    n = target.n
+    profile = crash_profile(target)
+    d = np.arange(n + 1)
+    return float(np.sum(profile * np.power(p, d) * np.power(1.0 - p, n - d))), "enumeration"
+
+
 def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
                      p: float) -> EstimateResult:
     """Exact crash probability: the chance that every quorum is hit when each
@@ -115,18 +129,11 @@ def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
 
     From the target's closed form at any n where it has one; otherwise by
     enumeration, which requires n <= 25.  Logs the route, n, p and the
-    elapsed time at DEBUG on the "maskquorum" logger.
+    elapsed time at DEBUG on the "maskquorum" logger, one line per call.
     """
     _check_probability(p)
     start = time.perf_counter()
-    value = target.closed_form_crash_prob(p)
-    route = "closed_form"
-    if value is None:
-        n = target.n
-        profile = crash_profile(target)
-        d = np.arange(n + 1)
-        value = float(np.sum(profile * np.power(p, d) * np.power(1.0 - p, n - d)))
-        route = "enumeration"
+    value, route = _exact_value(target, p)
     logging.getLogger("maskquorum").debug(
         "crash_prob_exact: route=%s n=%d p=%g elapsed=%.3f ms",
         route, target.n, p, 1e3 * (time.perf_counter() - start))

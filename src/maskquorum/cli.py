@@ -47,13 +47,7 @@ from .constructions import (
     spec_to_json,
 )
 from .core import Rng, validate_explicit
-from .errors import (
-    ApplicabilityError,
-    MaskQuorumError,
-    NumericalError,
-    ParameterError,
-    SizeError,
-)
+from .errors import MaskQuorumError, ParameterError, SizeError
 
 # The published comparison point reports the crossing-paths resilience as 29;
 # a_min - 1 = 28 for side 32, r 4, and that is what this package reports.
@@ -321,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, ApplicabilityError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MaskQuorumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from ._bitops import bools_to_int, ceil_sqrt, pack_rows, unpack_ints
+from ._bitops import bools_to_int, ceil_sqrt, pack_rows, unpack_masks
 from .composition import compose_params, iter_composed_masks
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ApplicabilityError, ParameterError, SizeError, UnsupportedOrderError
@@ -495,7 +495,7 @@ class FPPHandle(QuorumSystemHandle):
     @cached_property
     def _lines(self) -> np.ndarray:
         """The plane's (n, n) incidence: row i is line i as a boolean vector."""
-        return unpack_ints(self._plane.quorum_masks(), self.params.n)
+        return unpack_masks(self._plane.quorum_words, self.params.n)
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         return self._plane.live_batch(alive)
@@ -530,8 +530,8 @@ class ComposedHandle(QuorumSystemHandle):
     def closed_form_crash_prob(self, p: float) -> float:
         # The composition theorem: F(p) = F_outer(F_inner(p)), each part by
         # its own exact route.
-        from .availability import crash_prob_exact
-        return crash_prob_exact(self.outer, crash_prob_exact(self.inner, p).value).value
+        from .availability import _exact_value
+        return _exact_value(self.outer, _exact_value(self.inner, p)[0])[0]
 
     @property
     def exact_by_default(self) -> bool:

@@ -134,8 +134,8 @@ def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
 
     ``alive`` is a (T, side*side) boolean matrix.  Returns a (T, 2) integer
     array whose columns are min(paths, cap) for LR and TB, from dual fills on
-    a few thousand rows at a time.  With cap 1 and side*side <= 64 the packed
-    flood fill ``connected_batch`` answers instead.
+    a few thousand rows at a time, for every cap and side.  The faster r = 1
+    predicate is ``connected_batch``, which MPathHandle picks on its own.
     """
     if side < 1:
         raise ParameterError(f"grid side must be >= 1, got {side}")
@@ -145,10 +145,6 @@ def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
             f"alive rows must have {side * side} columns, got shape {alive.shape}")
     if cap < 1:
         raise ParameterError(f"path cap must be >= 1, got {cap}")
-    if cap == 1 and side * side <= 64:
-        masks = pack_rows(alive)[:, 0]
-        return np.stack([connected_batch(masks, side, LR),
-                         connected_batch(masks, side, TB)], axis=1).astype(np.int64)
     rows = max(1, _FILL_WORDS // (2 * side * -(-side // 64)))
     out = np.empty((len(alive), 2), dtype=np.int64)
     for start in range(0, len(alive), rows):

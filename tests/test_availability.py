@@ -201,6 +201,19 @@ class TestRouteLogging:
         assert re.fullmatch(r"crash_prob_exact: route=closed_form n=3 p=0\.5 "
                             r"elapsed=\d+\.\d{3} ms", closed)
 
+    @pytest.mark.parametrize("spec", [
+        mq.RTSpec(4, 3, 5), mq.BoostFPPSpec(3, 19),
+        mq.ComposedSpec(mq.FPPSpec(2), mq.MPathSpec(2, 0))], ids=repr)
+    def test_composition_logs_one_line(self, caplog, spec):
+        # The parts of a composition are exact values of its closed form, not
+        # calls of their own.
+        handle = build(spec)
+        caplog.set_level(logging.DEBUG, logger="maskquorum")
+        mq.crash_prob_exact(handle, 1 / 8)
+        [line] = self._messages(caplog, "crash_prob_exact:")
+        assert re.fullmatch(rf"crash_prob_exact: route=closed_form n={handle.n} p=0\.125 "
+                            r"elapsed=\d+\.\d{3} ms", line)
+
     def test_mc_logs_trials_seed_workers_and_chunks(self, caplog, monkeypatch):
         monkeypatch.setattr(availability, "_MC_DOUBLES_PER_CHUNK", 9 * 100)
         caplog.set_level(logging.DEBUG, logger="maskquorum")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import maskquorum as mq
 from maskquorum import ElementSet, ExplicitQuorumSystem, Rng, core
+from maskquorum._bitops import pack_ints, pack_rows
 from maskquorum.errors import ParameterError
 
 masks_n8 = st.integers(min_value=0, max_value=255)
@@ -121,6 +122,23 @@ class TestExplicitLiveBatch:
         system = materialized["FPP(2)"]
         with pytest.raises(ParameterError):
             system.live_batch(np.ones((3, system.n + 1), dtype=bool))
+
+
+class TestPackInts:
+    """pack_ints reads masks straight into the words pack_rows makes of the
+    membership matrix."""
+
+    @pytest.mark.parametrize("n", [1, 7, 31, 32, 33, 63, 64, 65, 130])
+    @pytest.mark.parametrize("masks_of", [
+        lambda n: [], lambda n: [0], lambda n: [1 << (n - 1)],
+        lambda n: [0, 1 << (n - 1), (1 << n) - 1]], ids=["empty", "zero", "top", "mixed"])
+    def test_matches_pack_rows(self, n, masks_of):
+        masks = masks_of(n)
+        bits = np.array([[m >> j & 1 for j in range(n)] for m in masks], dtype=bool)
+        want = pack_rows(bits.reshape(len(masks), n))
+        got = pack_ints(masks, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class TestValidateExplicit:

@@ -231,19 +231,25 @@ class TestConnectedBatch:
         assert connected_batch(masks, 4, TB).tolist() == [False, True]
 
 
-class TestMPathFloodRoute:
-    """MPath at r = 1 answers with two flood fills; the dual fill at cap 2
-    answers the same question another way."""
+def _with_caps(sides):
+    """(side, cap) for cap 1 and 2; cap 2 keeps the bare side as its id."""
+    return [pytest.param(side, cap, id=str(side) if cap == 2 else f"{side}-cap1")
+            for side in sides for cap in (1, 2)]
 
-    @pytest.mark.parametrize("side", [3, 4, 5, 7, 8])
-    def test_matches_dual_fill_across_batches(self, side):
+
+class TestMPathFloodRoute:
+    """MPath at r = 1 answers with two flood fills; the dual fill at caps 1
+    and 2 answers the same question another way."""
+
+    @pytest.mark.parametrize("side, cap", _with_caps([3, 4, 5, 7, 8]))
+    def test_matches_dual_fill_across_batches(self, side, cap):
         n = side * side
         rows = (1 << 16) + 123  # past one batch of every word width
         rng = np.random.default_rng(side)
         density = rng.uniform(0.3, 0.8, size=(rows, 1))
         alive = rng.random((rows, n)) < density
         got = build(MPathSpec(side, 0)).live_batch(alive)
-        want = (disjoint_path_counts(side, alive, 2) >= 1).all(axis=1)
+        want = (disjoint_path_counts(side, alive, cap) >= 1).all(axis=1)
         assert np.array_equal(got, want)
         assert 0 < got.sum() < rows
 
@@ -262,16 +268,16 @@ class TestCrossingProperty:
         complements = (~masks) & np.uint32((1 << n) - 1)
         assert not np.any(lr_ok & tb_ok[complements])
 
-    @pytest.mark.parametrize("side", [2, 3, 4])
-    def test_exactly_half_the_alive_sets_cross(self, side):
+    @pytest.mark.parametrize("side, cap", _with_caps([2, 3, 4]))
+    def test_exactly_half_the_alive_sets_cross(self, side, cap):
         # The Hex anchor: S crosses LR iff its complement does not cross TB,
         # and transposing the grid swaps LR and TB, so exactly 2^(n-1) of the
-        # 2^n alive sets cross in each orientation.  The dual fill at cap 2
-        # counts the same crossings without the cap-1 flood fill.
+        # 2^n alive sets cross in each orientation.  The dual fill at caps 1
+        # and 2 counts the same crossings as the flood fill.
         n = side * side
         masks = np.arange(1 << n, dtype=np.uint32)
         alive = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
-        dual = disjoint_path_counts(side, alive, 2) >= 1
+        dual = disjoint_path_counts(side, alive, cap) >= 1
         for column, orientation in enumerate((LR, TB)):
             assert connected_batch(masks, side, orientation).sum() == 1 << (n - 1)
             assert dual[:, column].sum() == 1 << (n - 1)
