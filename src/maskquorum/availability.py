@@ -63,7 +63,6 @@ class EstimateResult:
     """A probability estimate with its provenance."""
 
     value: float
-    kind: str  # "exact" or "monte_carlo"
     route: str  # "closed_form", "enumeration" or "monte_carlo"
     trials: int | None = None
     std_error: float | None = None
@@ -72,6 +71,11 @@ class EstimateResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ParameterError(f"estimate {self.value} outside [0,1]")
+
+    @property
+    def kind(self) -> str:
+        """The estimate's kind: "monte_carlo" on the Monte Carlo route, else "exact"."""
+        return "monte_carlo" if self.route == "monte_carlo" else "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +141,7 @@ def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
     logging.getLogger("maskquorum").debug(
         "crash_prob_exact: route=%s n=%d p=%g elapsed=%.3f ms",
         route, target.n, p, 1e3 * (time.perf_counter() - start))
-    return EstimateResult(value=min(max(value, 0.0), 1.0), kind="exact", route=route)
+    return EstimateResult(value=min(max(value, 0.0), 1.0), route=route)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -197,8 +201,7 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
         "crash_prob_mc: route=monte_carlo n=%d p=%g trials=%d seed=%d workers=%d chunks=%d "
         "elapsed=%.3f ms", n, p, trials, seed, workers, len(ranges),
         1e3 * (time.perf_counter() - start))
-    return EstimateResult(value=value, kind="monte_carlo", route="monte_carlo",
-                          trials=trials, seed=seed,
+    return EstimateResult(value=value, route="monte_carlo", trials=trials, seed=seed,
                           std_error=math.sqrt(value * (1.0 - value) / trials))
 
 

@@ -24,16 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Union
 
 import numpy as np
 
-from ._bitops import bools_to_int, ceil_sqrt, pack_rows, unpack_masks
+from ._bitops import bools_to_int, ceil_sqrt, unpack_masks
 from .composition import compose_params, iter_composed_masks
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ApplicabilityError, ParameterError, SizeError, UnsupportedOrderError
-from .paths import LR, TB, connected_batch, disjoint_path_counts
+from .paths import disjoint_path_counts
 
 __all__ = [
     "MGridSpec", "ThresholdSpec", "RTSpec", "FPPSpec", "BoostFPPSpec",
@@ -472,8 +472,8 @@ def fpp_lines(q: int) -> ExplicitQuorumSystem:
     lines meet in exactly one point.
     """
     FPPSpec(q)  # rejects a q that is not a prime integer
-    points = np.array([t for t in product(range(q), repeat=3)
-                       if next((x for x in t if x), 0) == 1])
+    points = np.array([(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+                      + [(1, y, z) for y in range(q) for z in range(q)])
     incidence = (points @ points.T) % q == 0
     return ExplicitQuorumSystem.from_masks(len(points), [bools_to_int(row) for row in incidence])
 
@@ -611,8 +611,8 @@ class MPathHandle(_RowColumnHandle):
     the straight-path strategy's load params.load only bounds the full
     system's load from above (MPath(3,0): 0.5556 against an LP load of 0.5).
     Liveness asks disjoint_path_counts for both orientations' path counts
-    capped at r: a dual-crossing fill on row words.  When r = 1 and n <= 64 it
-    asks the packed flood fill connected_batch instead, once per orientation.
+    capped at r: a dual-crossing fill on one word per grid when n <= 64, and on
+    row words otherwise, at every r.
     """
 
     lists_every_quorum = False
@@ -621,11 +621,7 @@ class MPathHandle(_RowColumnHandle):
         super().__init__(spec, spec.r, i_min=spec.r * spec.r)
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
-        side = self.spec.side
-        if self.g == 1 and self.n <= 64:
-            masks = pack_rows(alive)[:, 0]
-            return connected_batch(masks, side, LR) & connected_batch(masks, side, TB)
-        return (disjoint_path_counts(side, alive, self.g) >= self.g).all(axis=1)
+        return (disjoint_path_counts(self.spec.side, alive, self.g) >= self.g).all(axis=1)
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
         from .availability import mpath_fp_upper
@@ -635,10 +631,10 @@ class MPathHandle(_RowColumnHandle):
 
     @property
     def exact_by_default(self) -> bool:
-        # With r >= 2 the paths are counted level by level: at side 5 the
-        # predicate took 0.09 s per 2^20 subsets at cap 1 (flood fill), 0.87 s
-        # at cap 2 and 1.03 s at cap 3 on a 2-vCPU Xeon, so only up to 2^16
-        # subsets are enumerated by default there.
+        # The fill runs one more level per unit of r: at side 5 the predicate
+        # took 0.10 s per 2^20 subsets at cap 1, 0.15 s at cap 2 and 0.19 s at
+        # cap 3 on a 2-vCPU Xeon.  With r >= 2 only up to 2^16 subsets are
+        # enumerated by default.
         return self.n <= (16 if self.g > 1 else EXACT_MAX_N)
 
 

@@ -11,9 +11,11 @@ count is the fewest open vertices whose removal blocks every open crossing.
 The grid is a Hex board, so by the Hex theorem (Gale, Amer. Math. Monthly
 1979) a vertex set blocks every LR crossing iff it contains a TB crossing.
 The LR count is therefore the fewest open vertices on any TB crossing, with
-dead vertices free, and symmetrically for TB.  A bit-parallel fill on row
-words finds that 0/1-weighted distance for many alive rows at once, level by
-level up to the cap; max_disjoint_paths and mpath_live are one-row calls.
+dead vertices free, and symmetrically for TB.  One bit-parallel fill finds
+that 0/1-weighted distance for many alive rows at once, level by level up to
+the cap, in one of two word layouts: one unsigned word per grid when
+side*side <= 64, and row words otherwise.  max_disjoint_paths and mpath_live
+are one-row calls.
 """
 
 from __future__ import annotations
@@ -62,14 +64,16 @@ class TriGrid:
         return self._neighbors[v]
 
 
-def _check_orientation(orientation: str) -> None:
-    if orientation not in (LR, TB):
-        raise ParameterError(f"orientation must be 'LR' or 'TB', got {orientation!r}")
-
-
 # ---------------------------------------------------------------------------
-# Dual-crossing fill on row words
+# The dual-crossing fill, on row words or on one word per grid
 # ---------------------------------------------------------------------------
+#
+# Both layouts compute, for each grid, the fewest alive cells on a crossing
+# from a start side to the opposite target side.  Level k is every cell that a
+# path from the start side reaches with at most k alive cells on it: level 0
+# floods through dead cells from the dead start cells, level k+1 from level
+# k's cells, their neighbours and the whole start side.  A count is the number
+# of levels below ``cap`` that miss the target side.
 
 def _dilate(x: np.ndarray) -> np.ndarray:
     """The cells of (side, W, T) row words ``x`` and their grid neighbours
@@ -92,50 +96,120 @@ def _dilate(x: np.ndarray) -> np.ndarray:
 _FILL_WORDS = 1 << 15
 
 
-def _dual_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
-    """Capped LR and TB path counts of (T, side*side) alive rows, as (T, 2).
+def _dual_counts(side: int, alive: np.ndarray, cap: int, out: np.ndarray) -> None:
+    """Add the capped LR and TB counts of (T, side*side) alive rows to the
+    (2, T) array ``out``, on row words.
 
-    The fewest alive cells on a top-to-bottom crossing is the LR count of a
-    grid and the TB count of its transpose; both go into one (side, W, 2T)
-    stack of row words.  Level k is every cell that a path from the top row
-    reaches with at most k alive cells on it: level 0 floods through dead
-    cells from the dead top-row cells, level k+1 from level k's neighbours
-    plus the whole top row.  A count is the number of levels below ``cap``
-    that miss the bottom row.
+    The start side is the top row: the fewest alive cells on a top-to-bottom
+    crossing is the LR count of a grid and the TB count of its transpose, and
+    both go into one (side, W, 2T) stack of row words, a few thousand rows at
+    a time.
     """
-    t = len(alive)
-    grids = alive.reshape(t, side, side)
-    both = np.concatenate([grids, grids.transpose(0, 2, 1)])
-    packed = pack_rows(both.reshape(2 * t * side, side))
-    words = np.ascontiguousarray(packed.reshape(2 * t, side, -1).transpose(1, 2, 0))
+    rows = max(1, _FILL_WORDS // (2 * side * -(-side // 64)))
     valid = pack_rows(np.ones((1, side), dtype=bool))[0][None, :, None]
-    dead = ~words & valid
-    counts = np.zeros(words.shape[2], dtype=np.int64)
-    reach = np.zeros_like(words)
-    reach[0] = dead[0]
-    level = 0
-    while True:
-        grown = _dilate(reach)
-        flooded = reach | (grown & dead)
-        if flooded.tobytes() != reach.tobytes():  # cheaper than array_equal here
-            reach = flooded
-            continue
-        open_rows = ~reach[-1].any(axis=0)  # level `level` misses the bottom row
-        counts += open_rows
-        level += 1
-        if level == cap or not open_rows.any():
-            return counts.reshape(2, t).T
-        reach = grown & valid
-        reach[0] = valid[0]
+    for lo in range(0, len(alive), rows):
+        grids = alive[lo:lo + rows].reshape(-1, side, side)
+        t = len(grids)
+        both = np.concatenate([grids, grids.transpose(0, 2, 1)])
+        packed = pack_rows(both.reshape(2 * t * side, side))
+        words = np.ascontiguousarray(packed.reshape(2 * t, side, -1).transpose(1, 2, 0))
+        dead = ~words & valid
+        counts = out[:, lo:lo + t]
+        reach = np.zeros_like(words)
+        reach[0] = dead[0]
+        for _ in range(cap):
+            while True:
+                grown = _dilate(reach)
+                flooded = reach | (grown & dead)
+                if flooded.tobytes() == reach.tobytes():  # cheaper than array_equal here
+                    break
+                reach = flooded
+            open_rows = ~reach[-1].any(axis=0)  # this level misses the bottom row
+            counts += open_rows.reshape(2, t)
+            if not open_rows.any():
+                break
+            reach = grown & valid
+            reach[0] = valid[0]
+
+
+# Bytes of each whole-grid fill buffer: 2^16 grids of uint16, 2^15 of uint32 or
+# 2^14 of uint64 per batch.  Each batch iterates until its own slowest grid
+# converges, in buffers that stay in cache: at cap 1 on the 2^20 side-5 subsets,
+# fills that allocated every step took 219 ms and batches 65 ms (2-vCPU Xeon),
+# and 2^16 uint64 grids per batch ran 50% slower at side 8.
+_FLOOD_BYTES = 1 << 17
+
+
+def _grid_word_counts(side: int, alive: np.ndarray, cap: int, out: np.ndarray) -> None:
+    """Add the capped LR and TB counts of (T, side*side) alive rows to the
+    (2, T) array ``out``, for side*side <= 64, with each grid in one word.
+
+    Cell (i, j) is bit i*side + j of the smallest unsigned word that holds
+    side*side bits (uint16 at sides 3 and 4).  The LR count fills from the
+    top row to the bottom row and the TB count from the left column to the
+    right column, each a batch of _FLOOD_BYTES-byte preallocated buffers at
+    a time; the flood at each level runs through the dead cells and that
+    level's seed.
+    """
+    n = side * side
+    full = (1 << n) - 1
+    left, top = sum(1 << (i * side) for i in range(side)), (1 << side) - 1
+    right, bottom = left << (side - 1), top << (n - side)
+    not_left, not_right = full & ~left, full & ~right
+
+    def dilate(x: np.ndarray, to: np.ndarray, u: np.ndarray, d: np.ndarray) -> None:
+        # u = x | x>>side and d = x | x<<side reach (i-1, j) and (i+1, j);
+        # u<<1 and d>>1 add (i, j+1), (i-1, j+1) and (i, j-1), (i+1, j-1).
+        # A bit the shifts move across a row end lands in the masked-off
+        # column or past bit n, where the caller's mask clears it.
+        np.right_shift(x, side, out=u)
+        u |= x
+        np.left_shift(x, side, out=d)
+        d |= x
+        np.bitwise_or(u, d, out=to)
+        u <<= 1
+        u &= not_left
+        to |= u
+        d >>= 1
+        d &= not_right
+        to |= d
+
+    dead = ~pack_rows(alive)[:, 0].astype(np.min_scalar_type(full)) & full
+    batch = _FLOOD_BYTES // dead.itemsize
+    buffers = [np.empty(min(len(dead), batch), dtype=dead.dtype) for _ in range(5)]
+    for lo in range(0, len(dead), batch):
+        block = dead[lo:lo + batch]
+        reach, grown, u, d, seeded = (b[:len(block)] for b in buffers)
+        for counts, start, target in zip(out[:, lo:lo + len(block)], (top, left), (bottom, right)):
+            np.bitwise_and(block, start, out=reach)
+            flood = block
+            for level in range(cap):
+                if level:
+                    dilate(reach, grown, u, d)
+                    grown &= full
+                    grown |= start
+                    reach, grown = grown, reach
+                    flood = np.bitwise_or(block, reach, out=seeded)
+                while True:
+                    dilate(reach, grown, u, d)
+                    grown &= flood
+                    if np.array_equal(grown, reach):
+                        break
+                    reach, grown = grown, reach
+                missed = (reach & target) == 0
+                counts += missed
+                if not missed.any():
+                    break
 
 
 def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
     """Vertex-disjoint open crossing paths of each alive row, capped at ``cap``.
 
-    ``alive`` is a (T, side*side) boolean matrix.  Returns a (T, 2) integer
-    array whose columns are min(paths, cap) for LR and TB, from dual fills on
-    a few thousand rows at a time, for every cap and side.  The faster r = 1
-    predicate is ``connected_batch``, which MPathHandle picks on its own.
+    ``alive`` is a (T, side*side) boolean matrix.  Returns a (T, 2) array of
+    the smallest unsigned type that holds min(cap, side), whose columns are
+    min(paths, cap) for LR and TB.  One algorithm, the dual fill, answers for
+    every cap and side: on one word per grid when side*side <= 64, and on row
+    words otherwise.
     """
     if side < 1:
         raise ParameterError(f"grid side must be >= 1, got {side}")
@@ -145,11 +219,11 @@ def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
             f"alive rows must have {side * side} columns, got shape {alive.shape}")
     if cap < 1:
         raise ParameterError(f"path cap must be >= 1, got {cap}")
-    rows = max(1, _FILL_WORDS // (2 * side * -(-side // 64)))
-    out = np.empty((len(alive), 2), dtype=np.int64)
-    for start in range(0, len(alive), rows):
-        out[start:start + rows] = _dual_counts(side, alive[start:start + rows], cap)
-    return out
+    # One row per orientation: all(axis=1) on the (T, 2) view is 50x faster.
+    out = np.zeros((2, len(alive)), dtype=np.min_scalar_type(min(cap, side)))
+    fill = _grid_word_counts if side * side <= 64 else _dual_counts
+    fill(side, alive, cap, out)
+    return out.T
 
 
 def max_disjoint_paths(grid: TriGrid, alive: ElementSet, orientation: Orientation) -> int:
@@ -158,7 +232,8 @@ def max_disjoint_paths(grid: TriGrid, alive: ElementSet, orientation: Orientatio
     LR crosses from column 0 to column side-1, TB from row 0 to row side-1.
     Only vertices in ``alive`` may be used.
     """
-    _check_orientation(orientation)
+    if orientation not in (LR, TB):
+        raise ParameterError(f"orientation must be 'LR' or 'TB', got {orientation!r}")
     counts = disjoint_path_counts(grid.side, alive.as_bool()[None, :], grid.side)
     return int(counts[0, (LR, TB).index(orientation)])
 
@@ -168,78 +243,3 @@ def mpath_live(side: int, r: int, alive: ElementSet) -> bool:
     if not 1 <= r <= side:
         raise ParameterError(f"need 1 <= r <= side, got r={r}, side={side}")
     return bool((disjoint_path_counts(side, alive.as_bool()[None, :], r) >= r).all())
-
-
-# ---------------------------------------------------------------------------
-# Packed-bitmask connectivity (the r = 1 case, vectorised over many alive sets)
-# ---------------------------------------------------------------------------
-
-# Bytes of each flood-fill buffer: 2^16 masks of uint16, 2^15 of uint32 or
-# 2^14 of uint64 per batch.  Each batch iterates until its own slowest mask
-# converges, in buffers that stay in cache: both fills of the 2^20 side-5
-# subsets took 219 ms as whole-array fills that allocated every step, and 65
-# ms in batches (2-vCPU Xeon); 2^16 uint64 masks per batch ran 50% slower at
-# side 8.
-_FLOOD_BYTES = 1 << 17
-
-
-def connected_batch(masks: np.ndarray, side: int, orientation: Orientation) -> np.ndarray:
-    """Vectorised crossing test: does each packed alive-mask contain an open path?
-
-    Equivalent to ``max_disjoint_paths(...) >= 1`` for every mask; implemented
-    as a bit-parallel flood fill.  Requires side*side <= 64 and unsigned
-    masks of at least side*side bits; bits past side*side are ignored.  Each
-    mask is narrowed to the smallest unsigned word that holds side*side bits
-    (uint16 at sides 3 and 4), and the fill runs on batches of _FLOOD_BYTES-byte
-    preallocated buffers, so a batch stops when its own masks converge.
-    """
-    _check_orientation(orientation)
-    n = side * side
-    if n > 64:
-        raise ParameterError("connected_batch supports side*side <= 64")
-    masks = np.asarray(masks)
-    if masks.dtype.kind != "u" or masks.dtype.itemsize * 8 < n:
-        raise ParameterError(
-            f"connected_batch needs unsigned masks of at least n = {n} bits "
-            f"(side {side}), got dtype {masks.dtype}")
-    full = (1 << n) - 1
-    word = np.min_scalar_type(full).type
-    col0 = sum(1 << (i * side) for i in range(side))
-    col_last = col0 << (side - 1)
-    row0 = (1 << side) - 1
-    row_last = row0 << (n - side)
-    start, target = (col0, col_last) if orientation == LR else (row0, row_last)
-    not_col0, not_col_last = word(full & ~col0), word(full & ~col_last)
-    s1, ss = word(1), word(side)
-
-    alive = (masks & full).astype(word)
-    out = np.empty(len(alive), dtype=bool)
-    batch = _FLOOD_BYTES // alive.itemsize
-    reach, grow, t1, t2 = (np.empty(min(len(alive), batch), dtype=word) for _ in range(4))
-    for lo in range(0, len(alive), batch):
-        a = alive[lo:lo + batch]
-        r, g, u, d = reach[:len(a)], grow[:len(a)], t1[:len(a)], t2[:len(a)]
-        np.bitwise_and(a, word(start), out=r)
-        while True:
-            # u = r | r>>side and d = r | r<<side reach (i-1, j) and (i+1, j);
-            # u<<1 and d>>1 add (i, j+1), (i-1, j+1) and (i, j-1), (i+1, j-1).
-            # A bit the shifts move across a row end lands in the masked-off
-            # column or past bit n, where `a` clears it.
-            np.right_shift(r, ss, out=u)
-            u |= r
-            np.left_shift(r, ss, out=d)
-            d |= r
-            np.bitwise_or(u, d, out=g)
-            u <<= s1
-            u &= not_col0
-            g |= u
-            d >>= s1
-            d &= not_col_last
-            g |= d
-            g &= a
-            if np.array_equal(g, r):
-                break
-            r, g = g, r
-        np.bitwise_and(r, word(target), out=u)
-        np.not_equal(u, 0, out=out[lo:lo + len(a)])
-    return out

@@ -11,8 +11,9 @@ import pytest
 
 import maskquorum as mq
 from maskquorum import ElementSet, Rng, build
+from maskquorum._bitops import unpack_masks
 from maskquorum.cli import RESILIENCE_NOTE
-from maskquorum.paths import LR, TB, TriGrid, connected_batch, max_disjoint_paths
+from maskquorum.paths import LR, TB, TriGrid, disjoint_path_counts, max_disjoint_paths
 
 from oracles import packing_disjoint_paths
 
@@ -188,8 +189,8 @@ def test_criterion_6_mpath(mpath5_handle):
     for side in (2, 3, 4):
         n = side * side
         masks = np.arange(1 << n, dtype=np.uint32)
-        lr_ok = connected_batch(masks, side, LR)
-        tb_ok = connected_batch(masks, side, TB)
+        counts = disjoint_path_counts(side, unpack_masks(masks, n), 1)
+        lr_ok, tb_ok = counts[:, 0] >= 1, counts[:, 1] >= 1
         complements = (~masks) & np.uint32((1 << n) - 1)
         assert not np.any(lr_ok & tb_ok[complements])
 

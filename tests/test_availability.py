@@ -10,7 +10,7 @@ from maskquorum import ExplicitQuorumSystem, Rng, build
 from maskquorum import availability
 from maskquorum.availability import crash_profile
 from maskquorum.errors import ApplicabilityError, ParameterError, SizeError
-from maskquorum.paths import LR, TB, TriGrid, connected_batch
+from maskquorum.paths import LR, TB, TriGrid, disjoint_path_counts
 
 from oracles import brute_crash_probability, mgrid_crash_probability, packing_disjoint_paths
 
@@ -431,10 +431,8 @@ class TestMpathBounds:
         for t0 in range(0, trials, chunk):
             u = rng.uniform_draws(t0 * n, chunk * n).reshape(chunk, n)
             alive = u >= p
-            masks = np.zeros(chunk, dtype=np.uint32)
-            for j in range(n):
-                masks |= alive[:, j].astype(np.uint32) << np.uint32(j)
-            blocked += int((~connected_batch(masks, side, LR)).sum())
+            lr_ok = disjoint_path_counts(side, alive, 1)[:, 0] >= 1
+            blocked += int((~lr_ok).sum())
         rate = blocked / trials
         sigma = math.sqrt(max(rate * (1 - rate) / trials, 1e-12))
         assert rate <= mq.mpath_lr_failure_upper(side, p) + 3 * sigma

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,6 +149,16 @@ class TestFppLines:
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
     def test_same_lines_in_the_same_order_as_the_triple_loop(self, q):
         assert mq.fpp_lines(q).quorum_masks() == fpp_line_masks(q)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 31])
+    def test_points_in_the_order_of_the_filtered_triples(self, q):
+        # The reference lists all q^3 triples and keeps those whose first
+        # nonzero coordinate is 1.
+        points = np.array([t for t in product(range(q), repeat=3)
+                           if next((x for x in t if x), 0) == 1])
+        incidence = (points @ points.T) % q == 0
+        want = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in incidence]
+        assert mq.fpp_lines(q).quorum_masks() == want
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from maskquorum import ElementSet, MPathSpec, build
 from maskquorum.errors import ParameterError
-from maskquorum.paths import (LR, TB, TriGrid, connected_batch, disjoint_path_counts,
+from maskquorum._bitops import unpack_masks
+from maskquorum.paths import (LR, TB, TriGrid, _dual_counts, disjoint_path_counts,
                               max_disjoint_paths, mpath_live)
 
 from oracles import menger_disjoint_paths, packing_disjoint_paths, simple_crossing_paths
@@ -13,6 +14,19 @@ from oracles import menger_disjoint_paths, packing_disjoint_paths, simple_crossi
 
 def eset(side, mask):
     return ElementSet(side * side, mask)
+
+
+def every_alive_set(side):
+    """The 2^(side*side) alive sets of a grid as boolean rows, in mask order."""
+    n = side * side
+    return unpack_masks(np.arange(1 << n, dtype=np.uint32), n)
+
+
+def row_word_counts(side, alive, cap):
+    """disjoint_path_counts by the row-word layout, at any side."""
+    out = np.zeros((2, len(alive)), dtype=np.int64)
+    _dual_counts(side, alive, cap, out)
+    return out.T
 
 
 class TestTriGrid:
@@ -193,42 +207,26 @@ class TestMpathLive:
             mpath_live(3, 4, ElementSet.full(9))
 
 
-class TestConnectedBatch:
-    def test_matches_flow_exhaustively(self):
-        for side in (1, 2, 3):
-            g = TriGrid(side)
-            masks = np.arange(1 << g.n, dtype=np.uint32)
-            for o in (LR, TB):
-                got = connected_batch(masks, side, o)
-                want = np.array(
-                    [max_disjoint_paths(g, eset(side, int(m)), o) >= 1 for m in masks])
-                assert np.array_equal(got, want), (side, o)
+class TestWordLayouts:
+    """Grids with side*side <= 64 are filled one word per grid; the row-word
+    fill is the reference at every cap."""
 
-    def test_matches_flow_random_side5(self):
-        g = TriGrid(5)
-        rng = np.random.default_rng(11)
-        masks = rng.integers(0, 1 << 25, size=300, dtype=np.uint32)
-        for o in (LR, TB):
-            got = connected_batch(masks, 5, o)
-            want = np.array(
-                [max_disjoint_paths(g, eset(5, int(m)), o) >= 1 for m in masks])
-            assert np.array_equal(got, want)
-
-    def test_uint64_dtype(self):
-        masks = np.array([(1 << 36) - 1, 0], dtype=np.uint64)
-        got = connected_batch(masks, 6, LR)
-        assert got.tolist() == [True, False]
-
-    @pytest.mark.parametrize("dtype, side", [(np.uint32, 6), (np.uint16, 5),
-                                             (np.uint8, 3), (np.int64, 2)])
-    def test_masks_without_room_for_the_grid(self, dtype, side):
-        masks = np.zeros(3, dtype=dtype)
-        with pytest.raises(ParameterError, match=rf"n = {side * side}\b.*{np.dtype(dtype)}"):
-            connected_batch(masks, side, LR)
-
-    def test_bits_past_the_grid_are_ignored(self):
-        masks = np.array([0xFFFF_FFFF_FFFF_0000, 0xFFFF], dtype=np.uint64)
-        assert connected_batch(masks, 4, TB).tolist() == [False, True]
+    @pytest.mark.parametrize("side", range(1, 9))
+    def test_grid_words_match_row_words(self, side):
+        n = side * side
+        if side <= 4:
+            alive = every_alive_set(side)
+        else:
+            rows = (1 << 16) + 123  # past one batch of every word width
+            rng = np.random.default_rng(side)
+            density = rng.uniform(0.3, 0.8, size=(rows, 1))
+            alive = rng.random((rows, n)) < density
+        if side == 5:
+            masks = np.random.default_rng(11).integers(0, 1 << 25, size=300, dtype=np.uint32)
+            alive = np.concatenate([alive, unpack_masks(masks, n)])
+        for cap in range(1, side + 1):
+            got = disjoint_path_counts(side, alive, cap)
+            assert np.array_equal(got, row_word_counts(side, alive, cap)), cap
 
 
 def _with_caps(sides):
@@ -238,8 +236,8 @@ def _with_caps(sides):
 
 
 class TestMPathFloodRoute:
-    """MPath at r = 1 answers with two flood fills; the dual fill at caps 1
-    and 2 answers the same question another way."""
+    """MPath at r = 1 answers with the one-word-per-grid fill at cap 1; the
+    row-word fill at caps 1 and 2 answers the same question another way."""
 
     @pytest.mark.parametrize("side, cap", _with_caps([3, 4, 5, 7, 8]))
     def test_matches_dual_fill_across_batches(self, side, cap):
@@ -249,7 +247,7 @@ class TestMPathFloodRoute:
         density = rng.uniform(0.3, 0.8, size=(rows, 1))
         alive = rng.random((rows, n)) < density
         got = build(MPathSpec(side, 0)).live_batch(alive)
-        want = (disjoint_path_counts(side, alive, cap) >= 1).all(axis=1)
+        want = (row_word_counts(side, alive, cap) >= 1).all(axis=1)
         assert np.array_equal(got, want)
         assert 0 < got.sum() < rows
 
@@ -263,8 +261,8 @@ class TestCrossingProperty:
         # conversely S and its complement witness a disjoint pair).
         n = side * side
         masks = np.arange(1 << n, dtype=np.uint32)
-        lr_ok = connected_batch(masks, side, LR)
-        tb_ok = connected_batch(masks, side, TB)
+        counts = disjoint_path_counts(side, every_alive_set(side), 1)
+        lr_ok, tb_ok = counts[:, 0] >= 1, counts[:, 1] >= 1
         complements = (~masks) & np.uint32((1 << n) - 1)
         assert not np.any(lr_ok & tb_ok[complements])
 
@@ -272,15 +270,13 @@ class TestCrossingProperty:
     def test_exactly_half_the_alive_sets_cross(self, side, cap):
         # The Hex anchor: S crosses LR iff its complement does not cross TB,
         # and transposing the grid swaps LR and TB, so exactly 2^(n-1) of the
-        # 2^n alive sets cross in each orientation.  The dual fill at caps 1
-        # and 2 counts the same crossings as the flood fill.
+        # 2^n alive sets cross in each orientation.  The one-word-per-grid
+        # fill and the row-word fill, at caps 1 and 2, count them apart.
         n = side * side
-        masks = np.arange(1 << n, dtype=np.uint32)
-        alive = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
-        dual = disjoint_path_counts(side, alive, cap) >= 1
-        for column, orientation in enumerate((LR, TB)):
-            assert connected_batch(masks, side, orientation).sum() == 1 << (n - 1)
-            assert dual[:, column].sum() == 1 << (n - 1)
+        alive = every_alive_set(side)
+        for crosses in (disjoint_path_counts(side, alive, cap) >= 1,
+                        row_word_counts(side, alive, cap) >= 1):
+            assert crosses.sum(axis=0).tolist() == [1 << (n - 1)] * 2
 
     @pytest.mark.parametrize("side", [2, 3])
     def test_agrees_with_direct_path_pair_enumeration(self, side):
