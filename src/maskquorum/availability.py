@@ -50,7 +50,6 @@ _ENUM_CHUNK = 1 << 20
 # Raw draws per Monte Carlo chunk: 2 MB of words and 256 KB of crash
 # indicators, small enough to stay in cache (256 trials at n = 1024).
 _MC_DOUBLES_PER_CHUNK = 1 << 18
-THREADS_ENV_VAR = "MASKQUORUM_THREADS"
 
 
 def _check_probability(p: float) -> None:
@@ -144,21 +143,6 @@ def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
     return EstimateResult(value=min(max(value, 0.0), 1.0), route=route)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ParameterError(f"{THREADS_ENV_VAR} must be an integer") from exc
-        else:
-            workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ParameterError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
                   workers: int | None = None) -> EstimateResult:
     """Monte Carlo crash probability over independent crash trials.
@@ -167,8 +151,7 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
     counter-based stream keyed by ``seed`` (exactly sample_crash_set on
     Rng(seed).at(t): both compare the draws with ``Rng.crashed``), so the
     estimate is a pure function of (seed, p, trials): chunking and the worker
-    count cannot change it.  ``workers`` defaults to
-    the MASKQUORUM_THREADS environment variable, then the CPU count.
+    count cannot change it.  ``workers`` defaults to the CPU count.
     Crossing-paths systems gain nothing from more workers: their
     dual-crossing fill runs as many short numpy calls, and the Python code
     between them holds the interpreter lock.  Logs n, p, the trials, seed,
@@ -178,7 +161,10 @@ def crash_prob_mc(handle: QuorumSystemHandle, p: float, trials: int, seed: int,
     start = time.perf_counter()
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
-    workers = _resolve_workers(workers)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ParameterError(f"worker count must be >= 1, got {workers}")
     n = handle.n
     rng = Rng(seed)
     chunk = max(1, _MC_DOUBLES_PER_CHUNK // max(n, 1))

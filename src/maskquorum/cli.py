@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fp.add_argument("--trials", type=int, default=10 ** 5)
     p_fp.add_argument("--seed", type=int, default=0)
     p_fp.add_argument("--workers", type=int, default=None,
-                      help="MC parallelism (default: MASKQUORUM_THREADS, then CPU count)")
+                      help="MC parallelism (default: CPU count)")
     p_fp.add_argument("--bounds", action="store_true")
     p_fp.add_argument("--p-prime", type=float, default=None,
                       help="reference probability for the crossing-paths bound")

@@ -255,11 +255,9 @@ def spec_from_json(obj: dict) -> ConstructionSpec:
     cls = _SPEC_TAGS[tag]
     try:
         if cls is ComposedSpec:
-            return ComposedSpec(outer=spec_from_json(fields["outer"]),
-                                inner=spec_from_json(fields["inner"]))
+            fields = {name: spec_from_json(value) if name in ("outer", "inner") else value
+                      for name, value in fields.items()}
         return cls(**fields)
-    except KeyError as exc:
-        raise ParameterError(f"missing field {exc} for {tag!r}") from exc
     except TypeError as exc:
         raise ParameterError(f"bad fields for {tag!r}: {exc}") from exc
 
@@ -611,8 +609,9 @@ class MPathHandle(_RowColumnHandle):
     the straight-path strategy's load params.load only bounds the full
     system's load from above (MPath(3,0): 0.5556 against an LP load of 0.5).
     Liveness asks disjoint_path_counts for both orientations' path counts
-    capped at r: a dual-crossing fill on one word per grid when n <= 64, and on
-    row words otherwise, at every r.
+    capped at r: one dual-crossing fill, on one word per grid when n <= 64 and
+    on row words otherwise, at every r.  Like every family without a closed
+    form, fp enumerates by default up to n = 25.
     """
 
     lists_every_quorum = False
@@ -628,14 +627,6 @@ class MPathHandle(_RowColumnHandle):
         p_prime = (p + 1.0 / 3.0) / 2.0 if p_prime is None else p_prime
         yield "p_prime", p_prime
         yield "mpath_fp_upper", mpath_fp_upper(self.spec.side, self.spec.b, p, p_prime)
-
-    @property
-    def exact_by_default(self) -> bool:
-        # The fill runs one more level per unit of r: at side 5 the predicate
-        # took 0.10 s per 2^20 subsets at cap 1, 0.15 s at cap 2 and 0.19 s at
-        # cap 3 on a 2-vCPU Xeon.  With r >= 2 only up to 2^16 subsets are
-        # enumerated by default.
-        return self.n <= (16 if self.g > 1 else EXACT_MAX_N)
 
 
 _HANDLE_BY_SPEC: dict[type, type[QuorumSystemHandle]] = {

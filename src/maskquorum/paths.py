@@ -12,15 +12,16 @@ The grid is a Hex board, so by the Hex theorem (Gale, Amer. Math. Monthly
 1979) a vertex set blocks every LR crossing iff it contains a TB crossing.
 The LR count is therefore the fewest open vertices on any TB crossing, with
 dead vertices free, and symmetrically for TB.  One bit-parallel fill finds
-that 0/1-weighted distance for many alive rows at once, level by level up to
-the cap, in one of two word layouts: one unsigned word per grid when
-side*side <= 64, and row words otherwise.  max_disjoint_paths and mpath_live
-are one-row calls.
+that 0/1-weighted distance for many alive rows and both orientations at
+once, in one level loop up to the cap, on one of two word layouts: one
+unsigned word per grid when side*side <= 64, and row words otherwise.
+max_disjoint_paths and mpath_live are one-row calls.
 """
 
 from __future__ import annotations
 
-from typing import Literal
+import functools
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -65,103 +66,57 @@ class TriGrid:
 
 
 # ---------------------------------------------------------------------------
-# The dual-crossing fill, on row words or on one word per grid
+# The dual-crossing fill: one level loop, two word layouts
 # ---------------------------------------------------------------------------
 #
-# Both layouts compute, for each grid, the fewest alive cells on a crossing
-# from a start side to the opposite target side.  Level k is every cell that a
-# path from the start side reaches with at most k alive cells on it: level 0
+# For each grid the fill finds the fewest alive cells on a crossing from a
+# start side to the opposite target side.  Level k is every cell that a path
+# from the start side reaches with at most k alive cells on it: level 0
 # floods through dead cells from the dead start cells, level k+1 from level
-# k's cells, their neighbours and the whole start side.  A count is the number
-# of levels below ``cap`` that miss the target side.
+# k's cells, their neighbours and the whole start side.  A count is the
+# number of levels below ``cap`` that miss the target side.  _fill runs the
+# levels on a layout's (rows, W, 2, T) stack of words, which holds each
+# grid's dead cells once per orientation, so both orientations fill at once.
 
-def _dilate(x: np.ndarray) -> np.ndarray:
-    """The cells of (side, W, T) row words ``x`` and their grid neighbours
-    (i, j+-1), (i+-1, j), (i-1, j+1) and (i+1, j-1); bits past the last
-    column may be set."""
-    up, down = x << 1, x >> 1  # (i, j) -> (i, j+1) and (i, j) -> (i, j-1)
-    if x.shape[1] > 1:  # carry between the words of a row
-        up[:, 1:] |= x[:, :-1] >> (x.itemsize * 8 - 1)
-        down[:, :-1] |= x[:, 1:] << (x.itemsize * 8 - 1)
-    from_above = x | down    # row i-1 reaches (i, j) from (i-1, j) and (i-1, j+1)
-    out = from_above | up
-    out[1:] |= from_above[:-1]
-    out[:-1] |= x[1:] | up[1:]  # row i+1 reaches it from (i+1, j) and (i+1, j-1)
-    return out
+# Bytes of each fill buffer.  A batch iterates until its slowest grid
+# converges, in buffers that stay in cache: the 2^20 side-5 subsets at cap 1
+# took 93 ms in 128 KB buffers, 103 ms in 64 KB and 115 ms in 512 KB, and
+# 2048 side-32 rows at cap 4 took 25, 26 and 34 ms (medians of 5, 2-vCPU Xeon).
+_FILL_BYTES = 1 << 17
 
 
-# Words of one grid stack per fill: larger batches fall out of cache and
-# iterate until their slowest grid converges (a 2^20-row chunk of side-5 grids
-# at cap 3 took 4.7 s as one batch and 1.1 s in 4096-row batches, 2-vCPU Xeon).
-_FILL_WORDS = 1 << 15
+class _Layout(NamedTuple):
+    """A word layout of _fill's stack, cached per side: _fill only reads its arrays."""
+    dtype: np.dtype  # the word type
+    grid_words: int  # words of one grid in one orientation
+    pack: Callable[[np.ndarray], np.ndarray]  # (T, n) alive rows -> dead stack
+    dilate: Callable[..., None]  # dilate(x, out, u, d) may set bits outside the grid
+    valid: np.ndarray | int  # the grid's cells in a row of words
+    start: np.ndarray  # the start cells in the first row
+    target: np.ndarray  # the target cells in the last row
 
 
-def _dual_counts(side: int, alive: np.ndarray, cap: int, out: np.ndarray) -> None:
-    """Add the capped LR and TB counts of (T, side*side) alive rows to the
-    (2, T) array ``out``, on row words.
-
-    The start side is the top row: the fewest alive cells on a top-to-bottom
-    crossing is the LR count of a grid and the TB count of its transpose, and
-    both go into one (side, W, 2T) stack of row words, a few thousand rows at
-    a time.
-    """
-    rows = max(1, _FILL_WORDS // (2 * side * -(-side // 64)))
-    valid = pack_rows(np.ones((1, side), dtype=bool))[0][None, :, None]
-    for lo in range(0, len(alive), rows):
-        grids = alive[lo:lo + rows].reshape(-1, side, side)
-        t = len(grids)
-        both = np.concatenate([grids, grids.transpose(0, 2, 1)])
-        packed = pack_rows(both.reshape(2 * t * side, side))
-        words = np.ascontiguousarray(packed.reshape(2 * t, side, -1).transpose(1, 2, 0))
-        dead = ~words & valid
-        counts = out[:, lo:lo + t]
-        reach = np.zeros_like(words)
-        reach[0] = dead[0]
-        for _ in range(cap):
-            while True:
-                grown = _dilate(reach)
-                flooded = reach | (grown & dead)
-                if flooded.tobytes() == reach.tobytes():  # cheaper than array_equal here
-                    break
-                reach = flooded
-            open_rows = ~reach[-1].any(axis=0)  # this level misses the bottom row
-            counts += open_rows.reshape(2, t)
-            if not open_rows.any():
-                break
-            reach = grown & valid
-            reach[0] = valid[0]
-
-
-# Bytes of each whole-grid fill buffer: 2^16 grids of uint16, 2^15 of uint32 or
-# 2^14 of uint64 per batch.  Each batch iterates until its own slowest grid
-# converges, in buffers that stay in cache: at cap 1 on the 2^20 side-5 subsets,
-# fills that allocated every step took 219 ms and batches 65 ms (2-vCPU Xeon),
-# and 2^16 uint64 grids per batch ran 50% slower at side 8.
-_FLOOD_BYTES = 1 << 17
-
-
-def _grid_word_counts(side: int, alive: np.ndarray, cap: int, out: np.ndarray) -> None:
-    """Add the capped LR and TB counts of (T, side*side) alive rows to the
-    (2, T) array ``out``, for side*side <= 64, with each grid in one word.
-
-    Cell (i, j) is bit i*side + j of the smallest unsigned word that holds
-    side*side bits (uint16 at sides 3 and 4).  The LR count fills from the
-    top row to the bottom row and the TB count from the left column to the
-    right column, each a batch of _FLOOD_BYTES-byte preallocated buffers at
-    a time; the flood at each level runs through the dead cells and that
-    level's seed.
-    """
+@functools.cache
+def _grid_words(side: int) -> _Layout:
+    """Cell (i, j) is bit i*side + j of one word per grid, the smallest
+    unsigned type that holds side*side <= 64 bits (uint16 at sides 3 and 4).
+    The LR copy fills from the top row and the TB copy from the left column."""
     n = side * side
     full = (1 << n) - 1
+    dtype = np.min_scalar_type(full)
     left, top = sum(1 << (i * side) for i in range(side)), (1 << side) - 1
     right, bottom = left << (side - 1), top << (n - side)
     not_left, not_right = full & ~left, full & ~right
+
+    def pack(alive: np.ndarray) -> np.ndarray:
+        dead = pack_rows(alive)[:, 0].astype(dtype) ^ full
+        return np.concatenate([dead, dead]).reshape(1, 1, 2, -1)
 
     def dilate(x: np.ndarray, to: np.ndarray, u: np.ndarray, d: np.ndarray) -> None:
         # u = x | x>>side and d = x | x<<side reach (i-1, j) and (i+1, j);
         # u<<1 and d>>1 add (i, j+1), (i-1, j+1) and (i, j-1), (i+1, j-1).
         # A bit the shifts move across a row end lands in the masked-off
-        # column or past bit n, where the caller's mask clears it.
+        # column; d<<side may set bits past bit n.
         np.right_shift(x, side, out=u)
         u |= x
         np.left_shift(x, side, out=d)
@@ -174,32 +129,74 @@ def _grid_word_counts(side: int, alive: np.ndarray, cap: int, out: np.ndarray) -
         d &= not_right
         to |= d
 
-    dead = ~pack_rows(alive)[:, 0].astype(np.min_scalar_type(full)) & full
-    batch = _FLOOD_BYTES // dead.itemsize
-    buffers = [np.empty(min(len(dead), batch), dtype=dead.dtype) for _ in range(5)]
-    for lo in range(0, len(dead), batch):
-        block = dead[lo:lo + batch]
-        reach, grown, u, d, seeded = (b[:len(block)] for b in buffers)
-        for counts, start, target in zip(out[:, lo:lo + len(block)], (top, left), (bottom, right)):
-            np.bitwise_and(block, start, out=reach)
-            flood = block
-            for level in range(cap):
-                if level:
-                    dilate(reach, grown, u, d)
-                    grown &= full
-                    grown |= start
-                    reach, grown = grown, reach
-                    flood = np.bitwise_or(block, reach, out=seeded)
-                while True:
-                    dilate(reach, grown, u, d)
-                    grown &= flood
-                    if np.array_equal(grown, reach):
-                        break
-                    reach, grown = grown, reach
-                missed = (reach & target) == 0
-                counts += missed
-                if not missed.any():
+    start, target = (np.array([[a], [b]], dtype=dtype) for a, b in ((top, left), (bottom, right)))
+    return _Layout(dtype, 1, pack, dilate, full, start, target)
+
+
+@functools.cache
+def _row_words(side: int) -> _Layout:
+    """Row i of a grid is row i of the stack, in the words of pack_rows, and
+    the TB copy is the transposed grid, so both copies fill from the top row."""
+    valid = pack_rows(np.ones((1, side), dtype=bool)).reshape(-1, 1, 1)
+
+    def pack(alive: np.ndarray) -> np.ndarray:
+        grids = alive.reshape(-1, side, side)
+        both = np.concatenate([grids, grids.transpose(0, 2, 1)])
+        words = pack_rows(both.reshape(-1, side)).reshape(2, len(grids), side, -1)
+        return np.ascontiguousarray(words.transpose(2, 3, 0, 1)) ^ valid
+
+    def dilate(x: np.ndarray, out: np.ndarray, up: np.ndarray, down: np.ndarray) -> None:
+        # Neighbours (i, j+-1), (i+-1, j), (i-1, j+1) and (i+1, j-1); bits
+        # past the last column may be set.
+        np.left_shift(x, 1, out=up)     # (i, j) -> (i, j+1)
+        np.right_shift(x, 1, out=down)  # (i, j) -> (i, j-1)
+        if x.shape[1] > 1:  # carry between the words of a row
+            up[:, 1:] |= x[:, :-1] >> (x.itemsize * 8 - 1)
+            down[:, :-1] |= x[:, 1:] << (x.itemsize * 8 - 1)
+        down |= x  # row i-1 reaches (i, j) from (i-1, j) and (i-1, j+1)
+        np.bitwise_or(down, up, out=out)
+        out[1:] |= down[:-1]
+        up |= x  # row i+1 reaches it from (i+1, j) and (i+1, j-1)
+        out[:-1] |= up[1:]
+
+    return _Layout(valid.dtype, side * valid.size, pack, dilate, valid, valid, valid)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    # Comparing bytes is faster up to about 64 KB: 0.7 against 3.3 us for
+    # comparing elements at 4 KB, 13 against 10 us at 128 KB.
+    return a.tobytes() == b.tobytes() if a.nbytes <= 1 << 16 else bool((a == b).all())
+
+
+def _fill(side: int, alive: np.ndarray, cap: int, out: np.ndarray,
+          layout: Callable[[int], _Layout]) -> None:
+    """Add the capped LR and TB counts of (T, side*side) alive rows to the
+    (2, T) array ``out``, in the words of ``layout(side)``, a batch at a time."""
+    lay = layout(side)
+    rows = max(1, _FILL_BYTES // (2 * lay.grid_words * lay.dtype.itemsize))
+    # Allocated once per call: six fresh 128 KB buffers per batch cost 240 us of page faults.
+    buffers = np.empty((6, 2 * lay.grid_words * min(rows, len(alive))), dtype=lay.dtype)
+    for lo in range(0, len(alive), rows):
+        dead = lay.pack(alive[lo:lo + rows])
+        reach, grown, flooded, flood, u, d = buffers[:, :dead.size].reshape(6, *dead.shape)
+        reach[1:] = 0
+        np.bitwise_and(dead[0], lay.start, out=reach[0])
+        mask = dead
+        for level in range(cap):
+            if level:  # reseed from the dilated level and the start side
+                np.bitwise_and(grown, lay.valid, out=reach)
+                reach[0] |= lay.start
+                mask = np.bitwise_or(dead, reach, out=flood)
+            while True:
+                lay.dilate(reach, grown, u, d)
+                np.bitwise_and(grown, mask, out=flooded)
+                if _same(flooded, reach):
                     break
+                reach, flooded = flooded, reach
+            missed = ((reach[-1] & lay.target) == 0).all(axis=0)
+            out[:, lo:lo + dead.shape[-1]] += missed
+            if not missed.any():
+                break
 
 
 def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
@@ -207,9 +204,9 @@ def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
 
     ``alive`` is a (T, side*side) boolean matrix.  Returns a (T, 2) array of
     the smallest unsigned type that holds min(cap, side), whose columns are
-    min(paths, cap) for LR and TB.  One algorithm, the dual fill, answers for
-    every cap and side: on one word per grid when side*side <= 64, and on row
-    words otherwise.
+    min(paths, cap) for LR and TB.  One level loop, the dual fill, answers for
+    every cap and side, on one word per grid when side*side <= 64 and on row
+    words otherwise; both orientations of a batch fill in one stack.
     """
     if side < 1:
         raise ParameterError(f"grid side must be >= 1, got {side}")
@@ -221,8 +218,7 @@ def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
         raise ParameterError(f"path cap must be >= 1, got {cap}")
     # One row per orientation: all(axis=1) on the (T, 2) view is 50x faster.
     out = np.zeros((2, len(alive)), dtype=np.min_scalar_type(min(cap, side)))
-    fill = _grid_word_counts if side * side <= 64 else _dual_counts
-    fill(side, alive, cap, out)
+    _fill(side, alive, cap, out, _grid_words if side * side <= 64 else _row_words)
     return out.T
 
 

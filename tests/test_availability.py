@@ -167,16 +167,6 @@ class TestCrashProbMc:
         assert 0 < rejected < trials
         assert one.value == rejected / trials
 
-    def test_env_var_controls_workers(self, monkeypatch):
-        handle = build(mq.ThresholdSpec(3, 2))
-        monkeypatch.setenv("MASKQUORUM_THREADS", "2")
-        est = mq.crash_prob_mc(handle, 0.5, trials=10_000, seed=9)
-        monkeypatch.setenv("MASKQUORUM_THREADS", "notanumber")
-        with pytest.raises(ParameterError):
-            mq.crash_prob_mc(handle, 0.5, trials=10, seed=9)
-        assert est.std_error == pytest.approx(
-            math.sqrt(est.value * (1 - est.value) / 10_000))
-
     def test_trials_validated(self):
         with pytest.raises(ParameterError):
             mq.crash_prob_mc(build(mq.ThresholdSpec(3, 2)), 0.5, trials=0, seed=0)

@@ -580,6 +580,9 @@ class TestSpecJson:
                     {"RT": {"k": 3, "ell": 2, "h": 1.5}},
                     {"MGrid": {"side": 4.0, "b": 1}},
                     {"Threshold": {"k": True, "ell": True}},
-                    {"BoostFPP": {"q": 3, "b": 1.0}}]:
+                    {"BoostFPP": {"q": 3, "b": 1.0}},
+                    {"Composed": {"outer": {"FPP": {"q": 2}},
+                                  "inner": {"FPP": {"q": 2}}, "extra": 5}},
+                    {"Composed": {"outer": {"FPP": {"q": 2}}}}]:
             with pytest.raises(ParameterError):
                 mq.spec_from_json(obj)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from maskquorum import ElementSet, MPathSpec, build
 from maskquorum.errors import ParameterError
 from maskquorum._bitops import unpack_masks
-from maskquorum.paths import (LR, TB, TriGrid, _dual_counts, disjoint_path_counts,
+from maskquorum.paths import (LR, TB, TriGrid, _fill, _row_words, disjoint_path_counts,
                               max_disjoint_paths, mpath_live)
 
 from oracles import menger_disjoint_paths, packing_disjoint_paths, simple_crossing_paths
@@ -25,7 +25,7 @@ def every_alive_set(side):
 def row_word_counts(side, alive, cap):
     """disjoint_path_counts by the row-word layout, at any side."""
     out = np.zeros((2, len(alive)), dtype=np.int64)
-    _dual_counts(side, alive, cap, out)
+    _fill(side, alive, cap, out, _row_words)
     return out.T
 
 
@@ -277,6 +277,17 @@ class TestCrossingProperty:
         for crosses in (disjoint_path_counts(side, alive, cap) >= 1,
                         row_word_counts(side, alive, cap) >= 1):
             assert crosses.sum(axis=0).tolist() == [1 << (n - 1)] * 2
+
+    def test_half_the_alive_sets_cross_at_side_32(self):
+        # The same anchor at paper scale, through the row-word layout: at
+        # p = 1/2 each orientation crosses with probability 1/2, so over
+        # 40 000 alive rows each rate lies within 4 sigma = 0.01 of it.
+        rng = np.random.default_rng(32)
+        crossed = np.zeros(2, dtype=np.int64)
+        for _ in range(10):
+            alive = rng.random((4000, 32 * 32)) < 0.5
+            crossed += (disjoint_path_counts(32, alive, 1) >= 1).sum(axis=0)
+        assert np.all(np.abs(crossed / 40_000 - 0.5) <= 4 * 0.0025), crossed
 
     @pytest.mark.parametrize("side", [2, 3])
     def test_agrees_with_direct_path_pair_enumeration(self, side):
