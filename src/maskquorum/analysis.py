@@ -69,8 +69,6 @@ def _min_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     Searched once per system object and kept on it, so that
     combinatorial_params, masking_level and check_masking share one search.
     """
-    if sys.m == 0:
-        raise ParameterError("empty quorum system")
     if sys.n > A_MIN_MAX_N and sys.m > A_MIN_MAX_QUORUMS:
         raise SizeError(
             f"minimum transversal needs n <= {A_MIN_MAX_N} or quorum count <= "
@@ -203,8 +201,6 @@ def combinatorial_params(sys: ExplicitQuorumSystem) -> CombinatorialParams:
     i_min = c.  a_min is the exact minimum hitting-set size and requires
     n <= 30 or quorum count <= 10^4.
     """
-    if sys.m == 0:
-        raise ParameterError("empty quorum system")
     a_min = min_transversal_size(sys)
     c = min(m.bit_count() for m in sys.quorum_masks())
     pair = sys.smallest_pair
@@ -269,7 +265,7 @@ def is_fair(sys: ExplicitQuorumSystem) -> Fairness:
     """True iff all quorums share one size s and all elements one degree d."""
     members = unpack_masks(sys.quorum_words, sys.n)
     sizes, degrees = members.sum(axis=1), members.sum(axis=0)
-    if sys.m == 0 or (sizes != sizes[0]).any() or (degrees != degrees[0]).any():
+    if (sizes != sizes[0]).any() or (degrees != degrees[0]).any():
         return Fairness(ok=False)
     return Fairness(ok=True, s=int(sizes[0]), d=int(degrees[0]))
 
@@ -283,8 +279,6 @@ def load_lp(sys: ExplicitQuorumSystem) -> tuple[float, AccessStrategy]:
     """
     from scipy.optimize import LinearConstraint, milp
 
-    if sys.m == 0:
-        raise ParameterError("cannot compute the load of an empty system")
     if sys.m > LP_MAX_QUORUMS or sys.n > LP_MAX_N:
         raise SizeError(
             f"load LP capped at {LP_MAX_QUORUMS} quorums and n <= {LP_MAX_N}; "

@@ -1,12 +1,12 @@
 """Crash probability of quorum systems: exact, Monte Carlo, and analytic bounds.
 
-The exact path first asks the handle for its closed form (threshold binomial
-tail, the recursive-threshold recurrence, inclusion-exclusion over the full
-rows and columns of MGrid, F_outer(F_inner(p)) for a composition).  Only
-systems without one (explicit systems, FPP, MPath) have their 2^n crash sets
-enumerated, once per handle or explicit system object, tallying how many
-crash sets of each cardinality kill the system; the crash probability at any
-p is then the exact polynomial sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and
+The exact path asks the target for its route (``exact_route()``), resolved
+before any work: a closed form (threshold binomial tail, inclusion-exclusion
+over the full rows and columns of MGrid, F_outer(F_inner(p)) for a
+composition such as RT), or else enumeration of the 2^n crash sets
+(explicit systems, FPP, MPath; n <= 25), once per handle or system object,
+tallying how many crash sets of each cardinality kill the system; the crash
+probability at any p is then sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and
 Monte Carlo share one live predicate, ``live_batch`` on a (T, n) boolean
 matrix, for handles and explicit systems alike; Monte Carlo uses
 counter-based randomness, so estimates are bit-identical for a given seed
@@ -26,14 +26,12 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._bitops import ceil_sqrt, popcount, unpack_masks
-from .constructions import (
-    EXACT_MAX_N, MGridSpec, QuorumSystemHandle, ThresholdSpec, _require_prime,
-)
+from .constructions import MGridSpec, QuorumSystemHandle, ThresholdSpec, _require_prime
 from .core import ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
 
@@ -46,6 +44,8 @@ __all__ = [
     "binom_ratio_check",
 ]
 
+# Largest n at which 2^n crash sets are enumerated.
+EXACT_MAX_N = 25
 _ENUM_CHUNK = 1 << 20
 # Raw draws per Monte Carlo chunk: 2 MB of words and 256 KB of crash
 # indicators, small enough to stay in cache (256 trials at n = 1024).
@@ -93,6 +93,12 @@ def _profile_of(target) -> np.ndarray:
     return profile
 
 
+def _require_enumerable(n: int) -> None:
+    if n > EXACT_MAX_N:
+        raise SizeError(f"exact enumeration capped at n <= {EXACT_MAX_N} (got n={n}); "
+                        "use crash_prob_mc instead")
+
+
 def crash_profile(target: ExplicitQuorumSystem | QuorumSystemHandle) -> np.ndarray:
     """Exact kill counts by crash cardinality: entry d is the number of crash
     sets of size d under which no quorum is fully alive.  Requires n <= 25.
@@ -100,29 +106,23 @@ def crash_profile(target: ExplicitQuorumSystem | QuorumSystemHandle) -> np.ndarr
     Enumerated once per object and kept on it, for handles and explicit
     systems alike; an equal object built separately enumerates again.
     """
-    n = target.n
-    if n > EXACT_MAX_N:
-        raise SizeError(
-            f"exact enumeration capped at n <= {EXACT_MAX_N} (got n={n}); "
-            "use crash_prob_mc instead")
+    _require_enumerable(target.n)
     memo = target.__dict__
     if "_crash_profile" not in memo:
         memo["_crash_profile"] = _profile_of(target)
     return memo["_crash_profile"]
 
 
-def _exact_value(target: ExplicitQuorumSystem | QuorumSystemHandle,
-                 p: float) -> tuple[float, str]:
-    """(crash probability, route) from the target's closed form, or else by
-    enumeration; unchecked, unclamped and unlogged, for crash_prob_exact and
-    the parts of a composition."""
-    value = target.closed_form_crash_prob(p)
-    if value is not None:
-        return value, "closed_form"
+def enumeration_route(target: ExplicitQuorumSystem | QuorumSystemHandle
+                      ) -> tuple[str, Callable[[float], float]]:
+    """A target's route without a closed form: ("enumeration", F), where F sums
+    N_d p^d (1-p)^(n-d) over crash_profile, enumerated at F's first call.
+    Past n = 25 it raises SizeError before enumerating anything."""
     n = target.n
-    profile = crash_profile(target)
+    _require_enumerable(n)
     d = np.arange(n + 1)
-    return float(np.sum(profile * np.power(p, d) * np.power(1.0 - p, n - d))), "enumeration"
+    return "enumeration", lambda p: float(
+        np.sum(crash_profile(target) * np.power(p, d) * np.power(1.0 - p, n - d)))
 
 
 def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
@@ -130,13 +130,14 @@ def crash_prob_exact(target: ExplicitQuorumSystem | QuorumSystemHandle,
     """Exact crash probability: the chance that every quorum is hit when each
     server crashes independently with probability p.
 
-    From the target's closed form at any n where it has one; otherwise by
-    enumeration, which requires n <= 25.  Logs the route, n, p and the
-    elapsed time at DEBUG on the "maskquorum" logger, one line per call.
+    By the target's exact_route(): a closed form at any n, else enumeration
+    up to n = 25, else SizeError before any work.  Logs the route, n, p and
+    the elapsed time at DEBUG on the "maskquorum" logger, one line per call.
     """
     _check_probability(p)
     start = time.perf_counter()
-    value, route = _exact_value(target, p)
+    route, crash_prob = target.exact_route()
+    value = crash_prob(p)
     logging.getLogger("maskquorum").debug(
         "crash_prob_exact: route=%s n=%d p=%g elapsed=%.3f ms",
         route, target.n, p, 1e3 * (time.perf_counter() - start))
@@ -258,17 +259,15 @@ class CriticalProbability(NamedTuple):
     below_half: bool
 
 
-def rt_critical_probability(k: int, ell: int, tol: float = 1e-10) -> CriticalProbability:
+def rt_critical_probability(k: int, ell: int) -> CriticalProbability:
     """The unique fixed point of the block crash function in (0, 1), by Brent's method.
 
-    ``below_half`` reports whether the root is numerically below 1/2 (checked
-    per instance, never assumed); majority-of-3 for example sits exactly at
-    1/2 and reports False.
+    ``below_half`` reports whether the root is below 1/2 by more than the
+    1e-10 xtol (checked per instance, never assumed); majority-of-3 for
+    example sits exactly at 1/2 and reports False.
     """
     from scipy.optimize import brentq
 
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
     if k == ell:
         raise ParameterError("degenerate block has no interior fixed point")
     ThresholdSpec(k, ell)
@@ -279,9 +278,8 @@ def rt_critical_probability(k: int, ell: int, tol: float = 1e-10) -> CriticalPro
     lo, hi = 1e-12, 1.0 - 1e-12
     if not (gap(lo) < 0.0 < gap(hi)):
         raise NumericalError("failed to bracket the critical probability")
-    tol_eff = min(tol, 1e-10)
-    value = brentq(gap, lo, hi, xtol=tol_eff)
-    return CriticalProbability(value=value, below_half=value < 0.5 - tol_eff)
+    value = brentq(gap, lo, hi, xtol=1e-10)
+    return CriticalProbability(value=value, below_half=value < 0.5 - 1e-10)
 
 
 def rt_fp_upper(k: int, ell: int, h: int, p: float) -> float:

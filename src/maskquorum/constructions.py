@@ -8,11 +8,12 @@ FPP answers from its explicit plane, and BoostFPP and RT are compositions:
 RT(k, ell, h) is Threshold(k, ell) composed over RT(k, ell, h-1), ending in
 the 1-of-1 block at h = 1, and keeps only its own sampler and bounds.  MPath
 materializes only its straight-path quorums, so it and every composition
-containing it report lists_every_quorum = False.  Threshold, MGrid and every
-composition give their exact crash probability in closed form
-(closed_form_crash_prob); FPP and MPath leave it to 2^n enumeration.  Each
-handle also names its published crash-probability bounds (published_bounds):
-the general lower bounds, plus its family's own.
+containing it report lists_every_quorum = False.  Each handle owns its exact
+route: exact_route() names it and returns the crash probability F(p), or
+raises SizeError before any work.  Threshold and MGrid have closed forms, a
+composition is F_outer(F_inner(p)), and FPP and MPath enumerate up to n = 25.
+Each handle also names its published crash-probability bounds
+(published_bounds): the general lower bounds, plus its family's own.
 
 Canonical element numbering: grid cell (i, j) -> i*side + j (0-based);
 recursive-threshold leaves are numbered left to right; in a composition the
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -42,8 +43,6 @@ __all__ = [
     "spec_to_json", "spec_from_json",
 ]
 
-# Largest n at which 2^n crash sets are enumerated.
-EXACT_MAX_N = 25
 # Deepest recursive threshold: RT(k, ell, h) nests h composed handles, a few
 # Python frames each, which must fit in the interpreter's recursion limit.
 RT_MAX_DEPTH = 200
@@ -295,10 +294,13 @@ class QuorumSystemHandle:
 
     # The closed forms and bounds live in availability, which imports this
     # module, so the methods import them when called.
-    def closed_form_crash_prob(self, p: float) -> float | None:
-        """Exact crash probability at p from the construction's closed form,
-        or None when it has none and crash_prob_exact enumerates instead."""
-        return None
+    def exact_route(self) -> tuple[str, Callable[[float], float]]:
+        """(route, F): the exact crash probability F(p) and its route's name.
+
+        Enumeration by default, refused with SizeError past n = 25 before
+        anything is enumerated; a family with a closed form overrides it."""
+        from .availability import enumeration_route
+        return enumeration_route(self)
 
     def published_bounds(self, p: float, p_prime: float | None = None) -> dict:
         """Every published crash-probability bound at p, by name: p_mt, p_c2f
@@ -318,12 +320,6 @@ class QuorumSystemHandle:
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
         return iter(())
-
-    @property
-    def exact_by_default(self) -> bool:
-        """Whether fp answers exactly when asked for neither mode: always
-        with a closed form, else when 2^n enumeration is cheap."""
-        return self.n <= EXACT_MAX_N
 
     def sample_quorum(self, rng: Rng | np.random.Generator) -> ElementSet:
         """One quorum: row 0 of sample_quorums(rng, 1)."""
@@ -353,16 +349,13 @@ class QuorumSystemHandle:
         if count > max_quorums:
             raise SizeError(
                 f"construction has {count} quorums, exceeding the cap of {max_quorums}")
-        masks = dict.fromkeys(self.iter_quorum_masks())
-        return ExplicitQuorumSystem.from_masks(self.params.n, masks)
+        return ExplicitQuorumSystem.from_masks(self.params.n, self.iter_quorum_masks())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec!r})"
 
 
 class ThresholdHandle(QuorumSystemHandle):
-    exact_by_default = True
-
     def __init__(self, spec: ThresholdSpec):
         self.spec = spec
         k, ell = spec.k, spec.ell
@@ -379,9 +372,10 @@ class ThresholdHandle(QuorumSystemHandle):
         count = np.einsum("ij->i", x, dtype=np.min_scalar_type(k)) if k > 8 else reduce(np.add, x.T)
         return count >= self.spec.ell
 
-    def closed_form_crash_prob(self, p: float) -> float:
+    def exact_route(self) -> tuple[str, Callable[[float], float]]:
         from .availability import threshold_g
-        return threshold_g(self.spec.k, self.spec.ell, p).exact
+        k, ell = self.spec.k, self.spec.ell
+        return "closed_form", lambda p: threshold_g(k, ell, p).exact
 
     def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
         k = self.spec.k
@@ -435,8 +429,6 @@ class MGridHandle(_RowColumnHandle):
     s(a+a') - aa' + 2(g-a)(g-a') cells, minimised at a = a' = max(0, 2g-side).
     """
 
-    exact_by_default = True
-
     def __init__(self, spec: MGridSpec):
         g = spec.g
         t = max(0, 2 * g - spec.side)
@@ -451,9 +443,10 @@ class MGridHandle(_RowColumnHandle):
         full_cols = reduce(np.logical_and, (grid[:, i, :] for i in range(side)))
         return (full_rows.sum(axis=1) >= g) & (full_cols.sum(axis=1) >= g)
 
-    def closed_form_crash_prob(self, p: float) -> float:
+    def exact_route(self) -> tuple[str, Callable[[float], float]]:
         from .availability import mgrid_fp_exact
-        return mgrid_fp_exact(self.spec.side, self.spec.b, p)
+        side, b = self.spec.side, self.spec.b
+        return "closed_form", lambda p: mgrid_fp_exact(side, b, p)
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
         from .availability import mgrid_fp_lower
@@ -525,15 +518,12 @@ class ComposedHandle(QuorumSystemHandle):
         super_alive = self.inner.live_batch(copies).reshape(t, n_s)
         return self.outer.live_batch(super_alive)
 
-    def closed_form_crash_prob(self, p: float) -> float:
-        # The composition theorem: F(p) = F_outer(F_inner(p)), each part by
-        # its own exact route.
-        from .availability import _exact_value
-        return _exact_value(self.outer, _exact_value(self.inner, p)[0])[0]
-
-    @property
-    def exact_by_default(self) -> bool:
-        return self.outer.exact_by_default and self.inner.exact_by_default
+    def exact_route(self) -> tuple[str, Callable[[float], float]]:
+        # The composition theorem: F(p) = F_outer(F_inner(p)).  Both parts
+        # resolve before either enumerates, so a refusal comes before any work.
+        _, outer = self.outer.exact_route()
+        _, inner = self.inner.exact_route()
+        return "closed_form", lambda p: outer(inner(p))
 
     def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
         # The outer batch, then one inner draw per outer member in nonzero's
@@ -611,7 +601,7 @@ class MPathHandle(_RowColumnHandle):
     Liveness asks disjoint_path_counts for both orientations' path counts
     capped at r: one dual-crossing fill, on one word per grid when n <= 64 and
     on row words otherwise, at every r.  Like every family without a closed
-    form, fp enumerates by default up to n = 25.
+    form, its exact route is enumeration, up to n = 25.
     """
 
     lists_every_quorum = False

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -111,9 +111,9 @@ class ElementSet:
 class ExplicitQuorumSystem:
     """A quorum system given by an explicit, ordered list of quorums.
 
-    Construction rejects empty quorums, universe mismatches, and duplicate
-    quorums.  Pairwise intersection is *not* enforced here so that
-    validate_explicit can report violations on arbitrary inputs.
+    Construction rejects an empty list, empty quorums, universe mismatches,
+    and duplicate quorums.  Pairwise intersection is *not* enforced here so
+    that validate_explicit can report violations on arbitrary inputs.
     """
 
     n: int
@@ -123,6 +123,8 @@ class ExplicitQuorumSystem:
         if self.n < 1:
             raise ParameterError(f"universe size must be >= 1, got {self.n}")
         object.__setattr__(self, "quorums", tuple(self.quorums))
+        if not self.quorums:
+            raise ParameterError("empty quorum system")
         seen: set[int] = set()
         for idx, q in enumerate(self.quorums):
             if not isinstance(q, ElementSet):
@@ -168,9 +170,10 @@ class ExplicitQuorumSystem:
                 best = (int(sizes[k, j]), i0 + int(k), int(j))
         return best
 
-    def closed_form_crash_prob(self, p: float) -> None:
-        """An explicit system has no closed form: crash_prob_exact enumerates."""
-        return None
+    def exact_route(self) -> tuple[str, Callable[[float], float]]:
+        """An explicit system has no closed form: availability.enumeration_route."""
+        from .availability import enumeration_route
+        return enumeration_route(self)
 
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
         """Vectorised live predicate on a (T, n) boolean matrix, for any n."""
@@ -275,8 +278,12 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
-        return cls(n=d["n"], c=d["c"], i_min=d["i_min"], a_min=d["a_min"],
-                   b=d["b"], f=d["f"], load=d["load"])
+        """The record of to_dict, rebuilt through derive; a contradicting b or f raises."""
+        params = cls.derive(n=d["n"], c=d["c"], i_min=d["i_min"], a_min=d["a_min"], load=d["load"])
+        if (d["b"], d["f"]) != (params.b, params.f):
+            raise ParameterError(
+                f"b={d['b']}, f={d['f']} contradict the derived b={params.b}, f={params.f}")
+        return params
 
 
 _MASK64 = (1 << 64) - 1

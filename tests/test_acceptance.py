@@ -73,7 +73,7 @@ def test_criterion_2_rt_analytics():
         p = float(p)
         poly = 6 * p ** 2 - 8 * p ** 3 + 3 * p ** 4
         assert mq.threshold_g(4, 3, p).exact == pytest.approx(poly, abs=1e-12)
-    pc = mq.rt_critical_probability(4, 3, tol=1e-10)
+    pc = mq.rt_critical_probability(4, 3)
     assert pc.value == pytest.approx(0.2324, abs=5e-4)
 
 

@@ -308,19 +308,19 @@ class TestRtRecurrence:
 
 class TestRtCriticalProbability:
     def test_4_3(self):
-        got = mq.rt_critical_probability(4, 3, tol=1e-10)
+        got = mq.rt_critical_probability(4, 3)
         assert got.value == pytest.approx(0.2324, abs=5e-4)
         assert got.below_half
 
     def test_majority_of_three_sits_at_half(self):
-        got = mq.rt_critical_probability(3, 2, tol=1e-10)
+        got = mq.rt_critical_probability(3, 2)
         assert got.value == pytest.approx(0.5, abs=1e-9)
         assert not got.below_half
 
     def test_5_4_matches_grid_scan(self):
         # Fine-grid scan oracle: locate the sign change of g(p) - p directly
         # from the binomial tail, independently of the bisection code.
-        got = mq.rt_critical_probability(5, 4, tol=1e-10)
+        got = mq.rt_critical_probability(5, 4)
         ps = np.linspace(0.001, 0.999, 99_901)
         vals = np.array([sum(math.comb(5, j) * p ** j * (1 - p) ** (5 - j)
                              for j in range(2, 6)) - p for p in ps])
@@ -555,6 +555,15 @@ CLOSED_FORM_EXTRAS = {
     "BoostFPP(2,0)": mq.BoostFPPSpec(2, 0),
 }
 
+
+def _route(handle):
+    """The handle's exact route, or None where it has none."""
+    try:
+        return handle.exact_route()[0]
+    except SizeError:
+        return None
+
+
 TABLE8_SPECS = [mq.MGridSpec(32, 15), mq.RTSpec(4, 3, 5), mq.BoostFPPSpec(3, 19),
                 mq.MPathSpec(32, 7)]
 
@@ -567,7 +576,7 @@ class TestClosedForms:
         targets.update((name, build(spec)) for name, spec in CLOSED_FORM_EXTRAS.items())
         checked = []
         for name, handle in targets.items():
-            if handle.n > 25 or handle.closed_form_crash_prob(0.5) is None:
+            if handle.n > 25 or handle.exact_route()[0] != "closed_form":
                 continue
             checked.append(name)
             for p in self.P_GRID:
@@ -580,7 +589,7 @@ class TestClosedForms:
 
     def test_routes(self, handles):
         for name in ("FPP(2)", "MPath(4,1)"):
-            assert handles[name].closed_form_crash_prob(0.5) is None, name
+            assert handles[name].exact_route()[0] == "enumeration", name
             assert mq.crash_prob_exact(handles[name], 0.5).route == "enumeration", name
         system = ExplicitQuorumSystem.from_masks(3, [0b011, 0b101, 0b110])
         assert mq.crash_prob_exact(system, 0.5).route == "enumeration"
@@ -611,7 +620,7 @@ class TestClosedForms:
         targets.update((repr(spec), build(spec)) for spec in TABLE8_SPECS)
         checked = []
         for name, handle in targets.items():
-            if handle.n > 16 and handle.closed_form_crash_prob(0.5) is None:
+            if handle.n > 16 and _route(handle) != "closed_form":
                 continue
             checked.append(name)
             for p in (0.02, 0.05, 0.1, 0.125, 0.2, 0.24, 0.3, 0.5, 0.9):
@@ -639,7 +648,8 @@ class TestClosedForms:
         handle = build(mq.ComposedSpec(mq.FPPSpec(5), mq.ThresholdSpec(3, 2)))
         with pytest.raises(SizeError, match="n=31"):
             mq.crash_prob_exact(handle, 0.1)
-        assert not handle.exact_by_default
+        with pytest.raises(SizeError, match="n=31"):
+            handle.exact_route()
 
     @pytest.mark.parametrize("spec, p", [
         (mq.MGridSpec(32, 15), 0.05),

@@ -1,9 +1,11 @@
 import json
+import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maskquorum as mq
@@ -34,6 +36,7 @@ BOOSTFPP_3_19 = '{"BoostFPP": {"q": 3, "b": 19}}'
 MPATH_32_7 = '{"MPath": {"side": 32, "b": 7}}'
 RT_4_3_5 = '{"RT": {"k": 4, "ell": 3, "h": 5}}'
 MGRID_4_1 = '{"MGrid": {"side": 4, "b": 1}}'
+MPATH_6_1 = '{"MPath": {"side": 6, "b": 1}}'
 # Outputs of the published comparison, written by the CLI before its bounds
 # moved onto the handles; compared byte for byte.
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -184,9 +187,52 @@ class TestFp:
         assert json.loads(out)["estimate"]["kind"] == "monte_carlo"
 
     def test_mpath_within_the_cap_defaults_to_exact(self):
-        # MPath follows the base rule at every r: enumerate when n <= 25.
+        # MPath follows the base rule at every r: enumerate when n <= 25,
+        # and naming the route enumerates nothing.
         for b in (1, 2):
-            assert mq.build(mq.MPathSpec(5, b)).exact_by_default
+            handle = mq.build(mq.MPathSpec(5, b))
+            assert handle.exact_route()[0] == "enumeration"
+            assert "_crash_profile" not in handle.__dict__
+
+    @pytest.mark.parametrize("spec", [
+        # FPP(5) (n = 31) has no route; MPath(5,0) would enumerate 2^25 sets.
+        '{"Composed": {"outer": {"FPP": {"q": 5}}, "inner": {"MPath": {"side": 5, "b": 0}}}}',
+        # MPath(6,1) (n = 36) has no route; MPath(5,0) would enumerate.
+        '{"Composed": {"outer": {"MPath": {"side": 5, "b": 0}}, '
+        '"inner": {"MPath": {"side": 6, "b": 1}}}}',
+    ], ids=["FPP(5)oMPath(5,0)", "MPath(5,0)oMPath(6,1)"])
+    def test_route_resolves_before_any_work(self, capsys, monkeypatch, spec):
+        # Both parts of a composition resolve their routes before either
+        # enumerates, so a part without one sends fp to Monte Carlo at once.
+        enumerated = []
+
+        def recording_profile(target):
+            enumerated.append(target)
+            return np.zeros(target.n + 1, dtype=np.int64)
+
+        monkeypatch.setattr(mq.availability, "_profile_of", recording_profile)
+        code, out, err = run_cli(capsys, "fp", spec, "--p", "0.1", "--trials", "200",
+                                 "--seed", "1")
+        assert code == 0, err
+        assert json.loads(out)["estimate"]["route"] == "monte_carlo"
+        assert enumerated == []
+
+    def test_fallback_logs_its_reason(self, capsys, caplog):
+        caplog.set_level(logging.DEBUG, logger="maskquorum")
+        code, out, err = run_cli(capsys, "fp", MPATH_6_1, "--p", "0.2", "--trials", "200")
+        assert code == 0
+        assert err == ""
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.name == "maskquorum" and r.levelname == "DEBUG"
+                  and r.getMessage().startswith("fp:")]
+        assert line == ("fp: no exact route, falling back to monte_carlo: exact enumeration "
+                        "capped at n <= 25 (got n=36); use crash_prob_mc instead")
+        # Unless the caller configures logging, nothing reaches stderr.
+        proc = run_python("-m", "maskquorum", "fp", MPATH_6_1, "--p", "0.2",
+                          "--trials", "200")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["estimate"]["route"] == "monte_carlo"
 
     def test_mpath_bounds_use_default_p_prime(self, capsys):
         code, out, _ = run_cli(capsys, "fp", '{"MPath": {"side": 5, "b": 0}}',
@@ -386,6 +432,24 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", THRESHOLD32)
         assert code == 4
         assert f"oracle mismatch: {message}" in err
+
+    def test_disjoint_pair_reported_once(self, capsys, monkeypatch):
+        # Quorum 0 of MPath(3,0)'s straight paths is row 0 and column 0; the
+        # added quorum {4, 5, 7, 8} misses it.  One line names the pair.
+        materialize = mq.constructions.QuorumSystemHandle.materialize
+
+        def with_disjoint_pair(self, max_quorums):
+            system = materialize(self, max_quorums)
+            return mq.ExplicitQuorumSystem.from_masks(
+                system.n, system.quorum_masks() + [0b110110000])
+
+        monkeypatch.setattr(mq.constructions.MPathHandle, "materialize", with_disjoint_pair)
+        code, _, err = run_cli(capsys, "oracle", '{"MPath": {"side": 3, "b": 0}}')
+        assert code == 4
+        about_pair = [line for line in err.splitlines()
+                      if "0 and 9" in line or "disjoint" in line or "i_min" in line]
+        assert about_pair == ["oracle mismatch: masking check failed at b=0: quorums 0 and 9 "
+                              "share 0 elements, masking needs 2b+1 = 1"]
 
     def test_one_transversal_search_per_system(self, capsys, monkeypatch):
         searched = []

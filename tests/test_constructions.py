@@ -478,6 +478,14 @@ class TestMaterialize:
         with pytest.raises(SizeError, match="36"):
             build(mq.MGridSpec(4, 1)).materialize(35)
 
+    def test_duplicate_enumerated_quorum_raises(self, monkeypatch):
+        # An enumerator that yields a mask twice would make quorum_count()
+        # disagree with the explicit system's m, so materialize refuses it.
+        handle = build(mq.ThresholdSpec(3, 2))
+        monkeypatch.setattr(handle, "iter_quorum_masks", lambda: iter([0b011, 0b011, 0b101]))
+        with pytest.raises(ParameterError, match="duplicate"):
+            handle.materialize(10)
+
     def test_mpath_straight_paths_only(self):
         handle = build(mq.MPathSpec(5, 2))  # r = 3
         system = handle.materialize(200)

@@ -75,8 +75,10 @@ class TestExplicitQuorumSystem:
             ExplicitQuorumSystem(3, (q, q))
 
     def test_rejects_empty_quorum(self):
-        with pytest.raises(ParameterError, match="empty"):
-            ExplicitQuorumSystem(3, (ElementSet.empty(3),))
+        # An empty quorum, and an empty quorum list.
+        for quorums in ((ElementSet.empty(3),), ()):
+            with pytest.raises(ParameterError, match="empty"):
+                ExplicitQuorumSystem(3, quorums)
 
     def test_rejects_universe_mismatch(self):
         with pytest.raises(ParameterError):
@@ -199,6 +201,16 @@ class TestSystemParams:
     def test_roundtrip(self):
         p = mq.SystemParams.derive(n=49, c=24, i_min=8, a_min=6, load=24 / 49)
         assert mq.SystemParams.from_dict(p.to_dict()) == p
+
+    def test_from_dict_rejects_contradicting_b_and_f(self):
+        # The derived b and f are 0; a record claiming b = 5, f = 9 would feed
+        # fp_lower_bounds p_c2f = 1 and p_f = 1e-6 in place of 0.01 and 0.1.
+        record = {"n": 4, "c": 2, "i_min": 1, "a_min": 1, "b": 5, "f": 9, "load": 0.5}
+        with pytest.raises(ParameterError, match="contradict"):
+            mq.SystemParams.from_dict(record)
+        record.update(b=0, f=0)
+        bounds = mq.fp_lower_bounds(mq.SystemParams.from_dict(record), 0.1)
+        assert (bounds.p_c2f, bounds.p_f) == pytest.approx((0.01, 0.1))
 
 
 class TestRng:
