@@ -6,11 +6,18 @@ over the full rows and columns of MGrid, F_outer(F_inner(p)) for a
 composition such as RT), or else enumeration of the 2^n crash sets
 (explicit systems, FPP, MPath; n <= 25), once per handle or system object,
 tallying how many crash sets of each cardinality kill the system; the crash
-probability at any p is then sum(N_d * p^d * (1-p)^(n-d)).  Enumeration and
-Monte Carlo share one live predicate, ``live_batch`` on a (T, n) boolean
-matrix, for handles and explicit systems alike; Monte Carlo uses
-counter-based randomness, so estimates are bit-identical for a given seed
-regardless of chunking or thread count.
+probability at any p is then sum(N_d * p^d * (1-p)^(n-d)).  Every
+enumeration enters through _profile_of, which tallies the target's
+enumerate_kills(); by default that runs the live predicate shared with Monte
+Carlo, ``live_batch`` on a (T, n) boolean matrix, for handles and explicit
+systems alike.  MPath overrides it: its fill reads the masks as grid words,
+and at r = 1 it fills only half the crash sets, since by the Hex theorem a
+set's complement is live iff the set crosses the grid neither way.  Monte
+Carlo uses counter-based randomness, so estimates are bit-identical for a
+given seed regardless of chunking or thread count.
+
+The threshold closed forms sum in doubles while C(k, k/2) fits one (k up to
+1029) and in exact integers past it, as mgrid_fp_exact does throughout.
 
 Only ``rt_critical_probability`` needs scipy (``scipy.optimize.brentq``,
 reached through the RT handle's ``published_bounds``, ``fp --bounds`` on RT
@@ -26,7 +33,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,15 +89,29 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 
 def _profile_of(target) -> np.ndarray:
-    n = target.n
-    profile = np.zeros(n + 1, dtype=np.int64)
-    total = 1 << n
-    for start in range(0, total, _ENUM_CHUNK):
-        masks = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
-        live = target.live_batch(unpack_masks(masks, n))
-        alive_count = popcount(masks[~live])
-        profile += np.bincount(n - alive_count, minlength=n + 1)
+    """Kill counts by crash size, summed over target.enumerate_kills(): the
+    one entry of 2^n enumeration, which crash_profile memoises."""
+    profile = np.zeros(target.n + 1, dtype=np.int64)
+    for kills in target.enumerate_kills():
+        profile += kills
     return profile
+
+
+def mask_chunks(bits: int) -> Iterator[np.ndarray]:
+    """The masks 0 to 2^bits - 1, in ascending uint32 chunks of at most 2^20."""
+    total = 1 << bits
+    for start in range(0, total, _ENUM_CHUNK):
+        yield np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
+
+
+def live_batch_kills(target) -> Iterator[np.ndarray]:
+    """The default enumerate_kills of handles and explicit systems: live_batch
+    on every alive set of the 2^n, unpacked to boolean rows a chunk at a
+    time, yielding each chunk's kill counts by crash size."""
+    n = target.n
+    for masks in mask_chunks(n):
+        live = target.live_batch(unpack_masks(masks, n))
+        yield np.bincount(n - popcount(masks[~live]), minlength=n + 1)
 
 
 def _require_enumerable(n: int) -> None:
@@ -236,9 +257,32 @@ def threshold_g(k: int, ell: int, p: float) -> ThresholdG:
     ThresholdSpec(k, ell)
     _check_probability(p)
     d = k - ell + 1
-    exact = sum(math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(d, k + 1))
-    upper = math.comb(k, ell - 1) * p ** d
+    try:
+        exact = sum(math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(d, k + 1))
+        upper = math.comb(k, ell - 1) * p ** d
+    except OverflowError:  # C(k, k/2) passes the double range from k = 1030 on
+        crashed, scale = p.as_integer_ratio()
+        exact = _binomial_tail(k, d, crashed, scale)
+        upper = _capped_ratio(math.comb(k, ell - 1) * crashed ** d, scale ** d)
     return ThresholdG(exact=min(max(exact, 0.0), 1.0), lemma_upper=min(upper, 1.0))
+
+
+def _capped_ratio(num: int, den: int) -> float:
+    """min(num / den, 1) for non-negative integers, rounded once."""
+    return 1.0 if num >= den else num / den
+
+
+def _binomial_tail(k: int, d: int, crashed: int, scale: int) -> float:
+    """P(at least d of k crash) at p = crashed / scale, in exact integers:
+    sum_j C(k, j) crashed^j alive^(k-j) over scale^k, by Horner in alive, with
+    each C(k, j) crashed^j from the last by an exact division; rounded once."""
+    alive = scale - crashed
+    term = math.comb(k, d) * crashed ** d
+    total = 0
+    for j in range(d, k + 1):
+        total = total * alive + term
+        term = term * (k - j) * crashed // (j + 1)
+    return total / scale ** k
 
 
 def rt_fp_recurrence(k: int, ell: int, h: int, p: float) -> float:
@@ -289,7 +333,12 @@ def rt_fp_upper(k: int, ell: int, h: int, p: float) -> float:
         raise ParameterError(f"depth must be >= 0, got {h}")
     ThresholdSpec(k, ell)
     _check_probability(p)
-    base = math.comb(k, ell - 1) * p
+    comb = math.comb(k, ell - 1)
+    try:
+        base = comb * p
+    except OverflowError:  # comb past the double range
+        crashed, scale = p.as_integer_ratio()
+        base = _capped_ratio(comb * crashed, scale)
     if base >= 1.0:
         return 1.0
     if base == 0.0:

@@ -30,11 +30,11 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from ._bitops import bools_to_int, ceil_sqrt, unpack_masks
+from ._bitops import bools_to_int, ceil_sqrt, popcount, unpack_masks
 from .composition import compose_params, iter_composed_masks
 from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
 from .errors import ApplicabilityError, ParameterError, SizeError, UnsupportedOrderError
-from .paths import disjoint_path_counts
+from .paths import disjoint_path_counts, grid_word_path_counts
 
 __all__ = [
     "MGridSpec", "ThresholdSpec", "RTSpec", "FPPSpec", "BoostFPPSpec",
@@ -301,6 +301,13 @@ class QuorumSystemHandle:
         anything is enumerated; a family with a closed form overrides it."""
         from .availability import enumeration_route
         return enumeration_route(self)
+
+    def enumerate_kills(self) -> Iterator[np.ndarray]:
+        """Kill counts by crash size (entry d counts the crash sets of size d
+        that kill the system), a chunk of the 2^n at a time:
+        availability.live_batch_kills unless a family enumerates faster."""
+        from .availability import live_batch_kills
+        return live_batch_kills(self)
 
     def published_bounds(self, p: float, p_prime: float | None = None) -> dict:
         """Every published crash-probability bound at p, by name: p_mt, p_c2f
@@ -601,7 +608,10 @@ class MPathHandle(_RowColumnHandle):
     Liveness asks disjoint_path_counts for both orientations' path counts
     capped at r: one dual-crossing fill, on one word per grid when n <= 64 and
     on row words otherwise, at every r.  Like every family without a closed
-    form, its exact route is enumeration, up to n = 25.
+    form, its exact route is enumeration, up to n = 25; enumerate_kills hands
+    each chunk of masks to the fill as the grid words they already are, and
+    at r = 1 fills only the 2^(n-1) sets whose last cell is dead, each fill
+    answering for the set's complement too by the Hex theorem.
     """
 
     lists_every_quorum = False
@@ -611,6 +621,25 @@ class MPathHandle(_RowColumnHandle):
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         return (disjoint_path_counts(self.spec.side, alive, self.g) >= self.g).all(axis=1)
+
+    def enumerate_kills(self) -> Iterator[np.ndarray]:
+        # Each chunk of masks is a chunk of alive grid words.  At r = 1 one
+        # fill of A also decides its complement: by the Hex theorem the
+        # complement crosses LR iff A does not cross TB, and TB iff A does not
+        # cross LR, so it is live iff A crosses neither way.  A set A is
+        # killed at crash size n - |A| (its tally by |A|, reversed), its
+        # complement at |A|, and the sets whose last cell is dead cover all
+        # 2^n with their complements.  No such identity holds at r >= 2, so
+        # there every set is filled.
+        from .availability import mask_chunks
+        n, r = self.n, self.g
+        half = r == 1
+        for alive in mask_chunks(n - 1 if half else n):
+            counts = grid_word_path_counts(self.spec.side, alive, r)
+            size = popcount(alive)
+            yield np.bincount(size[~(counts >= r).all(axis=1)], minlength=n + 1)[::-1]
+            if half:
+                yield np.bincount(size[counts.any(axis=1)], minlength=n + 1)
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
         from .availability import mpath_fp_upper

@@ -175,6 +175,12 @@ class ExplicitQuorumSystem:
         from .availability import enumeration_route
         return enumeration_route(self)
 
+    def enumerate_kills(self) -> Iterator[np.ndarray]:
+        """Kill counts by crash size, a chunk of the 2^n at a time:
+        availability.live_batch_kills, as for a handle."""
+        from .availability import live_batch_kills
+        return live_batch_kills(self)
+
     def live_batch(self, alive: np.ndarray) -> np.ndarray:
         """Vectorised live predicate on a (T, n) boolean matrix, for any n."""
         if alive.ndim != 2 or alive.shape[1] != self.n:
@@ -253,22 +259,27 @@ class SystemParams:
 
     c is the smallest quorum size, i_min the smallest pairwise quorum
     intersection, a_min the smallest transversal.  The masking level b and
-    resilience f are always derived as b = min(a_min - 1, (i_min - 1) // 2)
-    and f = a_min - 1.
+    resilience f are properties derived from them, b = min(a_min - 1,
+    (i_min - 1) // 2) and f = a_min - 1, so no record can contradict them.
     """
 
     n: int
     c: int
     i_min: int
     a_min: int
-    b: int
-    f: int
     load: float
 
     @classmethod
     def derive(cls, n: int, c: int, i_min: int, a_min: int, load: float) -> "SystemParams":
-        b = min(a_min - 1, (i_min - 1) // 2)
-        return cls(n=n, c=c, i_min=i_min, a_min=a_min, b=b, f=a_min - 1, load=load)
+        return cls(n=n, c=c, i_min=i_min, a_min=a_min, load=load)
+
+    @property
+    def b(self) -> int:
+        return min(self.a_min - 1, (self.i_min - 1) // 2)
+
+    @property
+    def f(self) -> int:
+        return self.a_min - 1
 
     def to_dict(self) -> dict:
         return {

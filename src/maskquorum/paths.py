@@ -14,7 +14,12 @@ The LR count is therefore the fewest open vertices on any TB crossing, with
 dead vertices free, and symmetrically for TB.  One bit-parallel fill finds
 that 0/1-weighted distance for many alive rows and both orientations at
 once, in one level loop up to the cap, on one of two word layouts: one
-unsigned word per grid when side*side <= 64, and row words otherwise.
+unsigned word per grid when side*side <= 64, and row words otherwise.  The
+loop (_levels) takes each batch's stack of dead words from its caller:
+disjoint_path_counts packs boolean rows into it, and grid_word_path_counts
+takes grid words (bit i*side + j is cell (i, j)) as they are, which is how
+2^n enumeration hands over its masks.  At cap 1 the same theorem also
+decides a set's complement: it has both crossings iff the set has neither.
 max_disjoint_paths and mpath_live are one-row calls.
 """
 
@@ -30,7 +35,7 @@ from .core import ElementSet
 from .errors import ParameterError
 
 __all__ = ["TriGrid", "Orientation", "LR", "TB", "disjoint_path_counts",
-           "max_disjoint_paths", "mpath_live"]
+           "grid_word_path_counts", "max_disjoint_paths", "mpath_live"]
 
 Orientation = Literal["LR", "TB"]
 LR: Orientation = "LR"
@@ -74,8 +79,8 @@ class TriGrid:
 # from the start side reaches with at most k alive cells on it: level 0
 # floods through dead cells from the dead start cells, level k+1 from level
 # k's cells, their neighbours and the whole start side.  A count is the
-# number of levels below ``cap`` that miss the target side.  _fill runs the
-# levels on a layout's (rows, W, 2, T) stack of words, which holds each
+# number of levels below ``cap`` that miss the target side.  _levels runs
+# the levels on a layout's (rows, W, 2, T) stack of words, which holds each
 # grid's dead cells once per orientation, so both orientations fill at once.
 
 # Bytes of each fill buffer.  A batch iterates until its slowest grid
@@ -86,7 +91,7 @@ _FILL_BYTES = 1 << 17
 
 
 class _Layout(NamedTuple):
-    """A word layout of _fill's stack, cached per side: _fill only reads its arrays."""
+    """A word layout of the fill's stack, cached per side: _levels only reads its arrays."""
     dtype: np.dtype  # the word type
     grid_words: int  # words of one grid in one orientation
     pack: Callable[[np.ndarray], np.ndarray]  # (T, n) alive rows -> dead stack
@@ -109,8 +114,7 @@ def _grid_words(side: int) -> _Layout:
     not_left, not_right = full & ~left, full & ~right
 
     def pack(alive: np.ndarray) -> np.ndarray:
-        dead = pack_rows(alive)[:, 0].astype(dtype) ^ full
-        return np.concatenate([dead, dead]).reshape(1, 1, 2, -1)
+        return _grid_stack(pack_rows(alive)[:, 0].astype(dtype) ^ full)
 
     def dilate(x: np.ndarray, to: np.ndarray, u: np.ndarray, d: np.ndarray) -> None:
         # u = x | x>>side and d = x | x<<side reach (i-1, j) and (i+1, j);
@@ -168,16 +172,21 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a.tobytes() == b.tobytes() if a.nbytes <= 1 << 16 else bool((a == b).all())
 
 
-def _fill(side: int, alive: np.ndarray, cap: int, out: np.ndarray,
-          layout: Callable[[int], _Layout]) -> None:
-    """Add the capped LR and TB counts of (T, side*side) alive rows to the
-    (2, T) array ``out``, in the words of ``layout(side)``, a batch at a time."""
-    lay = layout(side)
+def _grid_stack(dead: np.ndarray) -> np.ndarray:
+    """The _grid_words stack of (T,) dead grid words: a copy per orientation."""
+    return np.concatenate([dead, dead]).reshape(1, 1, 2, -1)
+
+
+def _levels(lay: _Layout, count: int, dead_of: Callable[[int, int], np.ndarray],
+            cap: int, out: np.ndarray) -> None:
+    """Add the capped LR and TB counts of ``count`` grids to the (2, count)
+    array ``out``, a batch at a time: dead_of(lo, hi) is the stack, in the
+    words of ``lay``, of grids lo to hi-1 (fewer at the end)."""
     rows = max(1, _FILL_BYTES // (2 * lay.grid_words * lay.dtype.itemsize))
     # Allocated once per call: six fresh 128 KB buffers per batch cost 240 us of page faults.
-    buffers = np.empty((6, 2 * lay.grid_words * min(rows, len(alive))), dtype=lay.dtype)
-    for lo in range(0, len(alive), rows):
-        dead = lay.pack(alive[lo:lo + rows])
+    buffers = np.empty((6, 2 * lay.grid_words * min(rows, count)), dtype=lay.dtype)
+    for lo in range(0, count, rows):
+        dead = dead_of(lo, lo + rows)
         reach, grown, flooded, flood, u, d = buffers[:, :dead.size].reshape(6, *dead.shape)
         reach[1:] = 0
         np.bitwise_and(dead[0], lay.start, out=reach[0])
@@ -197,6 +206,13 @@ def _fill(side: int, alive: np.ndarray, cap: int, out: np.ndarray,
             out[:, lo:lo + dead.shape[-1]] += missed
             if not missed.any():
                 break
+
+
+def _fill(side: int, alive: np.ndarray, cap: int, out: np.ndarray,
+          layout: Callable[[int], _Layout]) -> None:
+    """_levels on (T, side*side) alive rows, each batch packed by layout(side).pack."""
+    lay = layout(side)
+    _levels(lay, len(alive), lambda lo, hi: lay.pack(alive[lo:hi]), cap, out)
 
 
 def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
@@ -219,6 +235,26 @@ def disjoint_path_counts(side: int, alive: np.ndarray, cap: int) -> np.ndarray:
     # One row per orientation: all(axis=1) on the (T, 2) view is 50x faster.
     out = np.zeros((2, len(alive)), dtype=np.min_scalar_type(min(cap, side)))
     _fill(side, alive, cap, out, _grid_words if side * side <= 64 else _row_words)
+    return out.T
+
+
+def grid_word_path_counts(side: int, words: np.ndarray, cap: int) -> np.ndarray:
+    """disjoint_path_counts of alive sets given as grid words, for
+    side*side <= 64: bit i*side + j of words[t] is cell (i, j) of grid t.
+
+    The words feed the one-word-per-grid fill as they are, with no boolean
+    rows in between; 2^n enumeration hands over its masks this way.
+    Returns the same (T, 2) array as disjoint_path_counts.
+    """
+    if not 1 <= side <= 8:
+        raise ParameterError(f"grid words need 1 <= side <= 8, got side {side}")
+    if cap < 1:
+        raise ParameterError(f"path cap must be >= 1, got {cap}")
+    lay = _grid_words(side)
+    dead = np.asarray(words).astype(lay.dtype)
+    dead ^= lay.valid
+    out = np.zeros((2, len(dead)), dtype=np.min_scalar_type(min(cap, side)))
+    _levels(lay, len(dead), lambda lo, hi: _grid_stack(dead[lo:hi]), cap, out)
     return out.T
 
 

@@ -271,6 +271,34 @@ class TestThresholdG:
                     by_enumeration(handle, p), abs=1e-12)
 
 
+class TestLargeThreshold:
+    """Past k = 1029, C(k, k/2) passes the double range; the closed forms
+    then sum in exact integers and still return finite values in [0, 1]."""
+
+    def test_threshold_g_at_k_2000(self):
+        for ell in (1001, 1500):
+            for p in (0.0, 1e-3, 0.1, 0.5, 1.0):
+                got = mq.threshold_g(2000, ell, p)
+                assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in got), (ell, p)
+                assert got.exact <= got.lemma_upper, (ell, p)
+
+    def test_threshold_g_exact_at_half(self):
+        # At p = 1/2 the tail is a count of subsets over 2^k.
+        k, ell = 2000, 1500
+        want = sum(math.comb(k, j) for j in range(k - ell + 1, k + 1)) / 2 ** k
+        assert mq.threshold_g(k, ell, 0.5).exact == want
+
+    def test_rt_fp_upper_at_k_2000(self):
+        assert mq.rt_fp_upper(2000, 1500, 2, 0.1) == 1.0
+        assert mq.rt_fp_upper(2000, 1500, 2, 0.0) == 0.0
+
+    def test_composed_exact_at_k_2001(self):
+        # BoostFPP(3,500): FPP(3) over the 1501-of-2001 block, n = 26 013.
+        est = mq.crash_prob_exact(build(mq.BoostFPPSpec(3, 500)), 0.2)
+        assert est.route == "closed_form"
+        assert math.isfinite(est.value) and 0.0 < est.value < 1e-20
+
+
 class TestRtRecurrence:
     def test_depth_zero_is_p(self):
         assert mq.rt_fp_recurrence(4, 3, 0, 0.37) == 0.37
@@ -544,6 +572,55 @@ class TestMpathExact:
             if min(packing_disjoint_paths(grid, alive_mask, o) for o in (LR, TB)) < 2:
                 want[9 - alive_mask.bit_count()] += 1
         assert np.array_equal(crash_profile(build(mq.MPathSpec(3, 1))), want)
+
+
+class TestMpathProfile:
+    """MPath enumerates on grid words, and at r = 1 over half the crash sets
+    by Hex duality; these check it against enumerations that do neither."""
+
+    @staticmethod
+    def live_batch_profile(handle):
+        """The default enumeration: live_batch on unpacked boolean rows."""
+        return sum(availability.live_batch_kills(handle))
+
+    @pytest.mark.parametrize("side, b", [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_matches_live_batch_enumeration(self, side, b):
+        handle = build(mq.MPathSpec(side, b))
+        assert np.array_equal(crash_profile(handle), self.live_batch_profile(handle))
+
+    def test_every_valid_spec_up_to_side_4_is_covered(self):
+        valid = set()
+        for side in range(2, 5):
+            for b in range(side * side):
+                try:
+                    mq.MPathSpec(side, b)
+                except ParameterError:
+                    continue
+                valid.add((side, b))
+        assert valid == {(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)}
+
+    @pytest.mark.parametrize("side, b, want", [
+        # The max-flow oracle's counts (perfbench/reference.py, MPATH_PROFILES).
+        (4, 0, [0, 0, 0, 0, 39, 436, 2149, 5872, 9737, 10472, 7841, 4348, 1819, 560,
+                120, 16, 1]),
+        (3, 1, [0, 0, 27, 83, 126, 126, 84, 36, 9, 1]),
+    ])
+    def test_matches_max_flow_counts(self, side, b, want):
+        assert crash_profile(build(mq.MPathSpec(side, b))).tolist() == want
+
+    def test_enumerates_once_through_profile_of(self, monkeypatch):
+        enumerated = []
+        profile_of = availability._profile_of
+
+        def recording_profile_of(target):
+            enumerated.append(target)
+            return profile_of(target)
+
+        monkeypatch.setattr(availability, "_profile_of", recording_profile_of)
+        handle = build(mq.MPathSpec(3, 0))
+        values = [exact(handle, p) for p in (0.1, 0.3)]
+        assert enumerated == [handle]
+        assert values == pytest.approx([by_enumeration(handle, p) for p in (0.1, 0.3)], rel=1e-12)
 
 
 # Systems with a closed form small enough to enumerate, beside the roster:

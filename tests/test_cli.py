@@ -234,6 +234,19 @@ class TestFp:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["estimate"]["route"] == "monte_carlo"
 
+    @pytest.mark.parametrize("spec", [
+        '{"Threshold": {"k": 1100, "ell": 900}}',
+        '{"Threshold": {"k": 2000, "ell": 1500}}',
+        '{"RT": {"k": 1100, "ell": 900, "h": 1}}',
+    ], ids=["Threshold(1100,900)", "Threshold(2000,1500)", "RT(1100,900,1)"])
+    def test_closed_form_past_the_double_range(self, capsys, spec):
+        # C(k, k/2) no longer fits a double; the closed form still answers.
+        code, out, err = run_cli(capsys, "fp", spec, "--p", "0.1")
+        assert code == 0, err
+        estimate = json.loads(out)["estimate"]
+        assert estimate["route"] == "closed_form"
+        assert 0.0 <= estimate["value"] <= 1.0
+
     def test_mpath_bounds_use_default_p_prime(self, capsys):
         code, out, _ = run_cli(capsys, "fp", '{"MPath": {"side": 5, "b": 0}}',
                                "--p", "0.1", "--exact", "--bounds")

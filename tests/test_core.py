@@ -212,6 +212,15 @@ class TestSystemParams:
         bounds = mq.fp_lower_bounds(mq.SystemParams.from_dict(record), 0.1)
         assert (bounds.p_c2f, bounds.p_f) == pytest.approx((0.01, 0.1))
 
+    def test_constructor_takes_no_b_or_f(self):
+        # b and f are derived properties, so the contradicting record above
+        # cannot be built directly either.
+        with pytest.raises(TypeError):
+            mq.SystemParams(n=4, c=2, i_min=1, a_min=1, b=5, f=9, load=0.5)
+        params = mq.SystemParams(n=4, c=2, i_min=1, a_min=1, load=0.5)
+        assert (params.b, params.f) == (0, 0)
+        assert params == mq.SystemParams.derive(n=4, c=2, i_min=1, a_min=1, load=0.5)
+
 
 class TestRng:
     def test_chunk_invariance(self):

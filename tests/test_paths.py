@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from maskquorum import ElementSet, MPathSpec, build
 from maskquorum.errors import ParameterError
 from maskquorum._bitops import unpack_masks
+from maskquorum._bitops import pack_rows
 from maskquorum.paths import (LR, TB, TriGrid, _fill, _row_words, disjoint_path_counts,
-                              max_disjoint_paths, mpath_live)
+                              grid_word_path_counts, max_disjoint_paths, mpath_live)
 
 from oracles import menger_disjoint_paths, packing_disjoint_paths, simple_crossing_paths
 
@@ -229,6 +230,28 @@ class TestWordLayouts:
             assert np.array_equal(got, row_word_counts(side, alive, cap)), cap
 
 
+class TestGridWordInput:
+    """grid_word_path_counts reads alive sets as grid words, the form 2^n
+    enumeration hands over, and answers as disjoint_path_counts does."""
+
+    @pytest.mark.parametrize("side", range(1, 9))
+    def test_matches_bool_rows(self, side):
+        n = side * side
+        rng = np.random.default_rng(100 + side)
+        density = rng.uniform(0.3, 0.8, size=(5000, 1))
+        alive = rng.random((5000, n)) < density
+        words = pack_rows(alive)[:, 0]
+        for cap in range(1, side + 1):
+            got = grid_word_path_counts(side, words, cap)
+            assert np.array_equal(got, disjoint_path_counts(side, alive, cap)), cap
+
+    def test_rejects_sides_outside_1_to_8(self):
+        with pytest.raises(ParameterError):
+            grid_word_path_counts(9, np.zeros(1, dtype=np.uint64), 1)
+        with pytest.raises(ParameterError):
+            grid_word_path_counts(0, np.zeros(1, dtype=np.uint8), 1)
+
+
 def _with_caps(sides):
     """(side, cap) for cap 1 and 2; cap 2 keeps the bare side as its id."""
     return [pytest.param(side, cap, id=str(side) if cap == 2 else f"{side}-cap1")
@@ -265,6 +288,19 @@ class TestCrossingProperty:
         lr_ok, tb_ok = counts[:, 0] >= 1, counts[:, 1] >= 1
         complements = (~masks) & np.uint32((1 << n) - 1)
         assert not np.any(lr_ok & tb_ok[complements])
+
+    @pytest.mark.parametrize("side", range(2, 9))
+    def test_complement_live_iff_a_crosses_neither_way(self, side):
+        # The Hex rule behind MPath's r = 1 enumeration over half the crash
+        # sets: the complement of A has both crossings iff A has neither.
+        n = side * side
+        rng = np.random.default_rng(200 + side)
+        density = rng.uniform(0.2, 0.8, size=(20_000, 1))
+        alive = rng.random((20_000, n)) < density
+        x, y = (disjoint_path_counts(side, alive, 1) >= 1).T
+        complement_live = (disjoint_path_counts(side, ~alive, 1) >= 1).all(axis=1)
+        assert np.array_equal(complement_live, ~(x | y))
+        assert 0 < complement_live.sum() < len(alive)
 
     @pytest.mark.parametrize("side, cap", _with_caps([2, 3, 4]))
     def test_exactly_half_the_alive_sets_cross(self, side, cap):
