@@ -37,7 +37,7 @@ for spec in specs:
 handle = mq.build(mq.MGridSpec(4, 1))
 system = handle.materialize(max_quorums=100)
 print(f"\nMGrid(4,1) materializes to {system.m} quorums "
-      f"(validates: {mq.validate_explicit(system).ok})")
+      f"(validates: {mq.check_masking(system, 0).ok})")
 print("brute force (c, i_min, a_min):", tuple(mq.combinatorial_params(system)))
 print("analytic    (c, i_min, a_min):",
       (handle.params.c, handle.params.i_min, handle.params.a_min))

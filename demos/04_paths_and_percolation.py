@@ -10,19 +10,22 @@ probability below the site-percolation threshold of the lattice.
 """
 
 import maskquorum as mq
-from maskquorum.paths import LR, TB, TriGrid, max_disjoint_paths
+from maskquorum.paths import disjoint_path_counts
 
-grid = TriGrid(5)
+
+def path_counts(alive):
+    """Disjoint LR and TB paths of one alive set of the 5x5 grid, uncapped."""
+    return disjoint_path_counts(5, alive.as_bool()[None], 5)[0]
+
+
 full = mq.ElementSet.full(25)
-print("5x5 grid, everything alive:",
-      max_disjoint_paths(grid, full, LR), "disjoint LR paths,",
-      max_disjoint_paths(grid, full, TB), "disjoint TB paths")
+lr, tb = path_counts(full)
+print("5x5 grid, everything alive:", lr, "disjoint LR paths,", tb, "disjoint TB paths")
 
 # Kill a column: no left-right path survives, but top-bottom paths remain.
 dead_column = mq.ElementSet.from_indices(25, [i * 5 + 2 for i in range(5)])
-alive = full - dead_column
-print("column 2 dead:", max_disjoint_paths(grid, alive, LR), "LR,",
-      max_disjoint_paths(grid, alive, TB), "TB")
+lr, tb = path_counts(full - dead_column)
+print("column 2 dead:", lr, "LR,", tb, "TB")
 
 # The r = 1 system on the 5x5 grid is small enough for exact enumeration of
 # all 2^25 crash configurations.

@@ -18,7 +18,6 @@ from .analysis import (
     combinatorial_params,
     induced_load,
     is_fair,
-    load_fair,
     load_lower_bounds,
     load_lp,
     masking_level,
@@ -68,9 +67,7 @@ from .core import (
     ExplicitQuorumSystem,
     Rng,
     SystemParams,
-    ValidationReport,
     sample_crash_set,
-    validate_explicit,
 )
 from .errors import (
     ApplicabilityError,
@@ -80,6 +77,6 @@ from .errors import (
     SizeError,
     UnsupportedOrderError,
 )
-from .paths import LR, TB, Orientation, TriGrid, max_disjoint_paths, mpath_live
+from .paths import TriGrid
 
 __version__ = "0.1.0"

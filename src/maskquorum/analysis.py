@@ -8,13 +8,14 @@ masking-load lower bounds.
 Each question has one route, and all of them read the system's packed quorum
 words.  The smallest pairwise intersection is ``ExplicitQuorumSystem.
 smallest_pair``: one pass of the blocked popcount kernel
-(``_bitops.pair_intersections``) per system object, shared with
-validate_explicit.  The smallest transversal is a branch and bound
+(``_bitops.pair_intersections``) per system object, and check_masking(sys, 0)
+is the intersection check.  The smallest transversal is a branch and bound
 (``_search_transversal``) on blocks of nodes whose unhit quorums are packed
 words, run once per system object for combinatorial_params, masking_level
 and check_masking's resilience half, and logged at DEBUG on the
 "maskquorum" logger.  Fairness, the load LP and induced loads take the
-incidence matrix from ``unpack_masks`` of the same words.
+incidence matrix from ``unpack_masks`` of the same words; a fair system's
+load is is_fair(sys).s / sys.n.
 
 Only ``load_lp`` needs scipy (``scipy.optimize.milp``, reached through the
 CLI's ``load`` and ``oracle``), and it imports it when called, so importing
@@ -34,13 +35,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._bitops import bools_to_int, pack_rows, unpack_masks
-from .core import AccessStrategy, ElementSet, ExplicitQuorumSystem, SystemParams
-from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
+from .core import AccessStrategy, ElementSet, ExplicitQuorumSystem
+from .errors import NumericalError, ParameterError, SizeError
 
 __all__ = [
     "CombinatorialParams", "combinatorial_params", "min_transversal_size",
     "masking_level", "MaskingCheck", "check_masking", "Fairness", "is_fair",
-    "load_lp", "InducedLoad", "induced_load", "load_fair",
+    "load_lp", "InducedLoad", "induced_load",
     "LoadBounds", "load_lower_bounds",
 ]
 
@@ -245,6 +246,8 @@ def check_masking(sys: ExplicitQuorumSystem, b: int) -> MaskingCheck:
     pair = sys.smallest_pair
     if pair is not None and pair[0] < 2 * b + 1:
         return MaskingCheck(ok=False, violating_pair=pair[1:])
+    if b == 0:  # quorums are non-empty, so a_min >= 1 without a search
+        return MaskingCheck(ok=True)
     a_min, witness = _min_transversal(sys)
     if a_min <= b:
         return MaskingCheck(ok=False, blocking_set=ElementSet(sys.n, witness))
@@ -314,20 +317,6 @@ def induced_load(sys: ExplicitQuorumSystem, strategy: AccessStrategy) -> Induced
             f"strategy has {len(strategy)} weights for {sys.m} quorums")
     loads = strategy.weights @ unpack_masks(sys.quorum_words, sys.n)
     return InducedLoad(per_element=loads, max=float(loads.max()))
-
-
-def load_fair(target: ExplicitQuorumSystem | SystemParams) -> float:
-    """Load of a fair system: c / n.
-
-    Accepts analytic params directly, or an explicit system (which must be
-    fair).
-    """
-    if isinstance(target, SystemParams):
-        return target.c / target.n
-    fairness = is_fair(target)
-    if not fairness:
-        raise ApplicabilityError("system is not fair; use load_lp instead")
-    return fairness.s / target.n
 
 
 class LoadBounds(NamedTuple):

@@ -56,7 +56,7 @@ def compose_params(outer: SystemParams, inner: SystemParams) -> SystemParams:
     The masking level b and resilience f are re-derived from the composed
     intersection and transversal sizes.
     """
-    return SystemParams.derive(
+    return SystemParams(
         n=outer.n * inner.n,
         c=outer.c * inner.c,
         i_min=outer.i_min * inner.i_min,

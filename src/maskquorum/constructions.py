@@ -366,8 +366,7 @@ class ThresholdHandle(QuorumSystemHandle):
     def __init__(self, spec: ThresholdSpec):
         self.spec = spec
         k, ell = spec.k, spec.ell
-        self.params = SystemParams.derive(
-            n=k, c=ell, i_min=2 * ell - k, a_min=k - ell + 1, load=ell / k)
+        self.params = SystemParams(n=k, c=ell, i_min=2 * ell - k, a_min=k - ell + 1, load=ell / k)
 
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         # Count each row's alive members in the smallest unsigned integer
@@ -406,8 +405,7 @@ class _RowColumnHandle(QuorumSystemHandle):
         side = spec.side
         n = side * side
         c = 2 * g * side - g * g
-        self.params = SystemParams.derive(
-            n=n, c=c, i_min=i_min, a_min=side - g + 1, load=c / n)
+        self.params = SystemParams(n=n, c=c, i_min=i_min, a_min=side - g + 1, load=c / n)
         self._rows = [((1 << side) - 1) << (i * side) for i in range(side)]
         first = sum(1 << (i * side) for i in range(side))
         self._cols = [first << j for j in range(side)]
@@ -484,7 +482,7 @@ class FPPHandle(QuorumSystemHandle):
         self.spec = spec
         q = spec.q
         n = q * q + q + 1
-        self.params = SystemParams.derive(n=n, c=q + 1, i_min=1, a_min=q + 1, load=(q + 1) / n)
+        self.params = SystemParams(n=n, c=q + 1, i_min=1, a_min=q + 1, load=(q + 1) / n)
 
     @cached_property
     def _plane(self) -> ExplicitQuorumSystem:

@@ -24,11 +24,9 @@ from .errors import ParameterError
 __all__ = [
     "ElementSet",
     "ExplicitQuorumSystem",
-    "ValidationReport",
     "AccessStrategy",
     "SystemParams",
     "Rng",
-    "validate_explicit",
     "sample_crash_set",
 ]
 
@@ -112,8 +110,8 @@ class ExplicitQuorumSystem:
     """A quorum system given by an explicit, ordered list of quorums.
 
     Construction rejects an empty list, empty quorums, universe mismatches,
-    and duplicate quorums.  Pairwise intersection is *not* enforced here so
-    that validate_explicit can report violations on arbitrary inputs.
+    and duplicate quorums.  Pairwise intersection is *not* enforced here, so
+    that analysis.check_masking can report a disjoint pair on any input.
     """
 
     n: int
@@ -162,7 +160,7 @@ class ExplicitQuorumSystem:
         first such pair in (i, j) order; None for a single-quorum system.
 
         One pairwise-intersection pass per system, shared by
-        validate_explicit, combinatorial_params and check_masking."""
+        combinatorial_params and check_masking."""
         best = None
         for i0, sizes in pair_intersections(self.quorum_words):
             k, j = np.unravel_index(np.argmin(sizes), sizes.shape)
@@ -198,31 +196,6 @@ class ExplicitQuorumSystem:
         return live
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_explicit(sys: ExplicitQuorumSystem) -> ValidationReport:
-    """Check that every two quorums intersect.
-
-    Construction already enforces distinct, non-empty quorums.  The report
-    lists the disjoint pairs by quorum index rather than raising; they are
-    rescanned only when the smallest intersection is empty.
-    """
-    if sys.smallest_pair is None or sys.smallest_pair[0] > 0:
-        return ValidationReport(ok=True)
-    violations: list[str] = []
-    for i0, sizes in pair_intersections(sys.quorum_words):
-        for k, j in zip(*np.nonzero(sizes == 0)):
-            violations.append(f"quorums {i0 + k} and {j} are disjoint")
-    return ValidationReport(ok=False, violations=tuple(violations))
-
-
 class AccessStrategy:
     """A probability distribution over the quorums of an explicit system."""
 
@@ -231,6 +204,8 @@ class AccessStrategy:
                        dtype=float).ravel()
         if w.size == 0:
             raise ParameterError("strategy needs at least one weight")
+        if not np.isfinite(w).all():
+            raise ParameterError("strategy weights must be finite")
         if (w < -1e-12).any():
             raise ParameterError("strategy weights must be non-negative")
         w = np.maximum(w, 0.0)
@@ -269,10 +244,6 @@ class SystemParams:
     a_min: int
     load: float
 
-    @classmethod
-    def derive(cls, n: int, c: int, i_min: int, a_min: int, load: float) -> "SystemParams":
-        return cls(n=n, c=c, i_min=i_min, a_min=a_min, load=load)
-
     @property
     def b(self) -> int:
         return min(self.a_min - 1, (self.i_min - 1) // 2)
@@ -289,8 +260,8 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
-        """The record of to_dict, rebuilt through derive; a contradicting b or f raises."""
-        params = cls.derive(n=d["n"], c=d["c"], i_min=d["i_min"], a_min=d["a_min"], load=d["load"])
+        """The record of to_dict, rebuilt from its stored fields; a contradicting b or f raises."""
+        params = cls(n=d["n"], c=d["c"], i_min=d["i_min"], a_min=d["a_min"], load=d["load"])
         if (d["b"], d["f"]) != (params.b, params.f):
             raise ParameterError(
                 f"b={d['b']}, f={d['f']} contradict the derived b={params.b}, f={params.f}")

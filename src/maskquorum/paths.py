@@ -20,26 +20,19 @@ disjoint_path_counts packs boolean rows into it, and grid_word_path_counts
 takes grid words (bit i*side + j is cell (i, j)) as they are, which is how
 2^n enumeration hands over its masks.  At cap 1 the same theorem also
 decides a set's complement: it has both crossings iff the set has neither.
-max_disjoint_paths and mpath_live are one-row calls.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._bitops import pack_rows
-from .core import ElementSet
 from .errors import ParameterError
 
-__all__ = ["TriGrid", "Orientation", "LR", "TB", "disjoint_path_counts",
-           "grid_word_path_counts", "max_disjoint_paths", "mpath_live"]
-
-Orientation = Literal["LR", "TB"]
-LR: Orientation = "LR"
-TB: Orientation = "TB"
+__all__ = ["TriGrid", "disjoint_path_counts", "grid_word_path_counts"]
 
 _ADJ_OFFSETS = ((0, 1), (1, 0), (-1, 1), (0, -1), (-1, 0), (1, -1))
 
@@ -256,22 +249,3 @@ def grid_word_path_counts(side: int, words: np.ndarray, cap: int) -> np.ndarray:
     out = np.zeros((2, len(dead)), dtype=np.min_scalar_type(min(cap, side)))
     _levels(lay, len(dead), lambda lo, hi: _grid_stack(dead[lo:hi]), cap, out)
     return out.T
-
-
-def max_disjoint_paths(grid: TriGrid, alive: ElementSet, orientation: Orientation) -> int:
-    """Maximum number of pairwise vertex-disjoint open paths across the grid.
-
-    LR crosses from column 0 to column side-1, TB from row 0 to row side-1.
-    Only vertices in ``alive`` may be used.
-    """
-    if orientation not in (LR, TB):
-        raise ParameterError(f"orientation must be 'LR' or 'TB', got {orientation!r}")
-    counts = disjoint_path_counts(grid.side, alive.as_bool()[None, :], grid.side)
-    return int(counts[0, (LR, TB).index(orientation)])
-
-
-def mpath_live(side: int, r: int, alive: ElementSet) -> bool:
-    """True iff the grid has >= r disjoint open paths in BOTH orientations."""
-    if not 1 <= r <= side:
-        raise ParameterError(f"need 1 <= r <= side, got r={r}, side={side}")
-    return bool((disjoint_path_counts(side, alive.as_bool()[None, :], r) >= r).all())

@@ -13,7 +13,7 @@ import maskquorum as mq
 from maskquorum import ElementSet, Rng, build
 from maskquorum._bitops import unpack_masks
 from maskquorum.cli import RESILIENCE_NOTE
-from maskquorum.paths import LR, TB, TriGrid, disjoint_path_counts, max_disjoint_paths
+from maskquorum.paths import TriGrid, disjoint_path_counts
 
 from oracles import packing_disjoint_paths
 
@@ -167,11 +167,12 @@ def test_criterion_5_load(handles, materialized):
 
 @criterion("6 crossing-path machinery")
 def test_criterion_6_mpath(mpath5_handle):
+    # Uncapped path counts against the packing oracle; column 0 is LR, 1 TB.
     g3 = TriGrid(3)
+    counts = disjoint_path_counts(3, unpack_masks(np.arange(1 << 9, dtype=np.uint32), 9), 3)
     for mask in range(1 << 9):
-        alive = ElementSet(9, mask)
-        for o in (LR, TB):
-            assert max_disjoint_paths(g3, alive, o) == packing_disjoint_paths(g3, mask, o)
+        for col, o in enumerate(("LR", "TB")):
+            assert counts[mask, col] == packing_disjoint_paths(g3, mask, o)
 
     g4 = TriGrid(4)
     rng = np.random.default_rng(7)
@@ -180,9 +181,9 @@ def test_criterion_6_mpath(mpath5_handle):
         mask = 0
         for i in np.nonzero(rng.random(16) >= density)[0]:
             mask |= 1 << int(i)
-        o = (LR, TB)[trial % 2]
-        assert max_disjoint_paths(g4, ElementSet(16, mask), o) == \
-            packing_disjoint_paths(g4, mask, o)
+        col = trial % 2
+        got = disjoint_path_counts(4, ElementSet(16, mask).as_bool()[None], 4)[0, col]
+        assert got == packing_disjoint_paths(g4, mask, ("LR", "TB")[col])
 
     # Crossing property: no alive set carries an open LR path disjoint from an
     # open TB path (scan every subset against its complement).

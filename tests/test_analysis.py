@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import maskquorum as mq
 from maskquorum import ExplicitQuorumSystem, analysis, build
-from maskquorum.errors import ApplicabilityError, ParameterError, SizeError
+from maskquorum.errors import ParameterError, SizeError
 
 from oracles import brute_resilience, greedy_cover_size
 
@@ -334,16 +334,15 @@ class TestInducedLoad:
 
 
 class TestLoadFair:
+    """A fair system's load is s / n, and a fair handle's is c / n."""
+
     def test_fano(self):
-        assert mq.load_fair(mq.fpp_lines(2)) == pytest.approx(3 / 7)
+        system = mq.fpp_lines(2)
+        assert mq.is_fair(system).s / system.n == pytest.approx(3 / 7)
 
     def test_params_route(self):
-        assert mq.load_fair(build(mq.MGridSpec(7, 3)).params) == pytest.approx(24 / 49)
-
-    def test_unfair_raises(self):
-        system = ExplicitQuorumSystem.from_masks(3, [0b011, 0b110])
-        with pytest.raises(ApplicabilityError):
-            mq.load_fair(system)
+        params = build(mq.MGridSpec(7, 3)).params
+        assert params.c / params.n == pytest.approx(24 / 49)
 
 
 class TestLoadLowerBounds:

@@ -10,7 +10,7 @@ from maskquorum import ExplicitQuorumSystem, Rng, build
 from maskquorum import availability
 from maskquorum.availability import crash_profile
 from maskquorum.errors import ApplicabilityError, ParameterError, SizeError
-from maskquorum.paths import LR, TB, TriGrid, disjoint_path_counts
+from maskquorum.paths import TriGrid, disjoint_path_counts
 
 from oracles import brute_crash_probability, mgrid_crash_probability, packing_disjoint_paths
 
@@ -243,7 +243,7 @@ class TestFpLowerBounds:
         assert mq.fp_lower_bounds(params, 0.3).p_f is None
         boosted = build(mq.BoostFPPSpec(2, 2)).params  # a_min = 9, i_min = 5
         assert mq.fp_lower_bounds(boosted, 0.3).p_f is None
-        tight = mq.SystemParams.derive(n=10, c=5, i_min=9, a_min=5, load=0.5)
+        tight = mq.SystemParams(n=10, c=5, i_min=9, a_min=5, load=0.5)
         assert mq.fp_lower_bounds(tight, 0.3).p_f == pytest.approx(0.3 ** (tight.b + 1))
 
 
@@ -297,6 +297,42 @@ class TestLargeThreshold:
         est = mq.crash_prob_exact(build(mq.BoostFPPSpec(3, 500)), 0.2)
         assert est.route == "closed_form"
         assert math.isfinite(est.value) and 0.0 < est.value < 1e-20
+
+
+# One large instance per family, n from 10^4 to 10^6, with the error its
+# exact route raises (None where it has a closed form).
+LARGE_INSTANCES = {
+    "MGrid(128,63)": (mq.MGridSpec(128, 63), None),
+    "RT(4,3,7)": (mq.RTSpec(4, 3, 7), None),
+    "FPP(101)": (mq.FPPSpec(101), SizeError),
+    "BoostFPP(3,315)": (mq.BoostFPPSpec(3, 315), None),
+    "MPath(128,100)": (mq.MPathSpec(128, 100), SizeError),
+    "MGrid(32,15) o Threshold(1100,900)":
+        (mq.ComposedSpec(mq.MGridSpec(32, 15), mq.ThresholdSpec(1100, 900)), None),
+}
+
+
+class TestLargeInstances:
+    """Every family's exact route and published bounds at a large instance:
+    each value is finite in [0, 1] or None, or the route refuses by name."""
+
+    @pytest.mark.parametrize("name", LARGE_INSTANCES)
+    def test_exact_route_and_bounds(self, name):
+        spec, refusal = LARGE_INSTANCES[name]
+        handle = build(spec)
+        values = []
+        if refusal is None:
+            route, crash_prob = handle.exact_route()
+            assert route == "closed_form"
+            values += [crash_prob(p) for p in (1 / 8, 1 / 4)]
+        else:
+            with pytest.raises(refusal):
+                handle.exact_route()
+        for p in (1 / 8, 1 / 4):
+            bounds = handle.published_bounds(p)
+            assert isinstance(bounds.pop("inapplicable", ""), str)
+            values += bounds.values()
+        assert all(v is None or (math.isfinite(v) and 0.0 <= v <= 1.0) for v in values), values
 
 
 class TestRtRecurrence:
@@ -556,10 +592,10 @@ class TestMpathExact:
         # profile against a direct loop over the live predicate.
         handle = build(mq.MPathSpec(3, 1))
         from maskquorum import ElementSet
-        from maskquorum.paths import mpath_live
         want = np.zeros(10, dtype=np.int64)
         for alive_mask in range(1 << 9):
-            if not mpath_live(3, 2, ElementSet(9, alive_mask)):
+            alive = ElementSet(9, alive_mask).as_bool()[None]
+            if not (disjoint_path_counts(3, alive, 2) >= 2).all():
                 want[9 - alive_mask.bit_count()] += 1
         assert np.array_equal(crash_profile(handle), want)
 
@@ -569,7 +605,7 @@ class TestMpathExact:
         grid = TriGrid(3)
         want = np.zeros(10, dtype=np.int64)
         for alive_mask in range(1 << 9):
-            if min(packing_disjoint_paths(grid, alive_mask, o) for o in (LR, TB)) < 2:
+            if min(packing_disjoint_paths(grid, alive_mask, o) for o in ("LR", "TB")) < 2:
                 want[9 - alive_mask.bit_count()] += 1
         assert np.array_equal(crash_profile(build(mq.MPathSpec(3, 1))), want)
 

@@ -478,8 +478,8 @@ class TestOracle:
         assert searched == [875]
 
     def test_one_pairwise_pass_per_system(self, capsys, monkeypatch):
-        # validate_explicit, combinatorial_params and check_masking share
-        # the system's smallest pair.
+        # combinatorial_params and check_masking share the system's
+        # smallest pair.
         passes = []
         kernel = mq._bitops.pair_intersections
 

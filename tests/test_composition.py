@@ -25,7 +25,7 @@ class TestComposeExplicit:
         # 3 outer quorums of size 2, each with 3 inner choices per element.
         assert composed.m == 3 * 3 ** 2 == 27
         assert min(len(q) for q in composed.quorums) == 4
-        assert mq.validate_explicit(composed).ok
+        assert mq.check_masking(composed, 0).ok
 
     def test_fpp_over_threshold(self, components):
         composed = compose_explicit(components["FPP2"], components["T32"])
@@ -69,7 +69,7 @@ class TestComposeParams:
         assert (got.n, got.c, got.i_min, got.a_min) == (rt.n, rt.c, rt.i_min, rt.a_min)
 
     def test_multiplicative_identity(self):
-        one = mq.SystemParams.derive(n=1, c=1, i_min=1, a_min=1, load=1.0)
+        one = mq.SystemParams(n=1, c=1, i_min=1, a_min=1, load=1.0)
         p = build(mq.RTSpec(4, 3, 2)).params
         assert compose_params(p, one) == p
         assert compose_params(one, p) == p
@@ -82,7 +82,7 @@ class TestCompositionTheorem:
         brute = {}
         for name, sys in components.items():
             c, i_min, a_min = mq.combinatorial_params(sys)
-            brute[name] = mq.SystemParams.derive(sys.n, c, i_min, a_min, load=0.0)
+            brute[name] = mq.SystemParams(sys.n, c, i_min, a_min, load=0.0)
         for (no, outer), (ni, inner) in itertools.product(components.items(), repeat=2):
             composed = compose_explicit(outer, inner)
             got = mq.combinatorial_params(composed)

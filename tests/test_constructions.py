@@ -182,7 +182,7 @@ class TestBruteForceEqualsAnalytic:
 
     def test_validate_all(self, materialized):
         for name, system in materialized.items():
-            assert mq.validate_explicit(system).ok, name
+            assert mq.check_masking(system, 0).ok, name
 
     def test_masking_soundness(self, materialized, handles):
         # Pairwise intersections >= 2b+1 and a_min >= b+1 for the derived b.

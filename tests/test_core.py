@@ -144,18 +144,20 @@ class TestPackInts:
 
 
 class TestValidateExplicit:
+    """The intersection check, check_masking(sys, 0)."""
+
     def test_triangle_majority_ok(self):
         sys = ExplicitQuorumSystem.from_masks(3, [0b011, 0b110, 0b101])
-        assert mq.validate_explicit(sys).ok
+        assert mq.check_masking(sys, 0).ok
 
     def test_disjoint_pair_reported(self):
         sys = ExplicitQuorumSystem.from_masks(2, [0b01, 0b10])
-        report = mq.validate_explicit(sys)
-        assert not report.ok
-        assert any("0 and 1" in v and "disjoint" in v for v in report.violations)
+        check = mq.check_masking(sys, 0)
+        assert not check.ok
+        assert check.violating_pair == (0, 1)
 
     def test_fano_ok(self):
-        assert mq.validate_explicit(mq.fpp_lines(2)).ok
+        assert mq.check_masking(mq.fpp_lines(2), 0).ok
 
     @pytest.mark.parametrize("n, masks", [
         (5, [0b00011, 0b01100, 0b10000, 0b00101, 0b11010, 0b01001]),
@@ -163,18 +165,26 @@ class TestValidateExplicit:
         (11, range(2047, 0, -1)),
     ])
     def test_disjoint_pairs_in_double_loop_order(self, n, masks):
+        # The reported pair is the first disjoint pair in (i, j) order.
         sys = ExplicitQuorumSystem.from_masks(n, masks)
         m = sys.quorum_masks()
-        want = [f"quorums {i} and {j} are disjoint"
-                for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] & m[j] == 0]
+        want = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] & m[j] == 0]
         assert len(want) > 3
-        assert mq.validate_explicit(sys).violations == tuple(want)
+        assert mq.check_masking(sys, 0).violating_pair == want[0]
+
+    def test_answers_past_the_transversal_limit(self):
+        # n = 31 and 10^4 + 1 quorums through element 0: too large for the
+        # transversal search, which b = 0 does not need.
+        sys = ExplicitQuorumSystem.from_masks(31, [1 | k << 1 for k in range(10_001)])
+        assert mq.check_masking(sys, 0).ok
+        with pytest.raises(mq.SizeError):
+            mq.min_transversal_size(sys)
 
     @given(st.permutations(range(7)))
     def test_stable_under_reordering(self, order):
         fano = mq.fpp_lines(2)
         shuffled = ExplicitQuorumSystem(7, tuple(fano.quorums[i] for i in order))
-        assert mq.validate_explicit(shuffled).ok
+        assert mq.check_masking(shuffled, 0).ok
 
 
 class TestAccessStrategy:
@@ -186,6 +196,12 @@ class TestAccessStrategy:
         with pytest.raises(ParameterError):
             mq.AccessStrategy([1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weights(self, bad):
+        # NaN passes both the sign and the sum comparisons, so it needs its own check.
+        with pytest.raises(ParameterError, match="finite"):
+            mq.AccessStrategy([bad, 1.0])
+
     def test_uniform(self):
         w = mq.AccessStrategy.uniform(4)
         assert len(w) == 4
@@ -194,12 +210,12 @@ class TestAccessStrategy:
 
 class TestSystemParams:
     def test_derive_masking_and_resilience(self):
-        p = mq.SystemParams.derive(n=16, c=9, i_min=4, a_min=4, load=9 / 16)
+        p = mq.SystemParams(n=16, c=9, i_min=4, a_min=4, load=9 / 16)
         assert p.b == min(3, 1) == 1
         assert p.f == 3
 
     def test_roundtrip(self):
-        p = mq.SystemParams.derive(n=49, c=24, i_min=8, a_min=6, load=24 / 49)
+        p = mq.SystemParams(n=49, c=24, i_min=8, a_min=6, load=24 / 49)
         assert mq.SystemParams.from_dict(p.to_dict()) == p
 
     def test_from_dict_rejects_contradicting_b_and_f(self):
@@ -219,7 +235,6 @@ class TestSystemParams:
             mq.SystemParams(n=4, c=2, i_min=1, a_min=1, b=5, f=9, load=0.5)
         params = mq.SystemParams(n=4, c=2, i_min=1, a_min=1, load=0.5)
         assert (params.b, params.f) == (0, 0)
-        assert params == mq.SystemParams.derive(n=4, c=2, i_min=1, a_min=1, load=0.5)
 
 
 class TestRng:

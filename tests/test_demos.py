@@ -17,6 +17,13 @@ def test_crash_probability_demo_agrees_across_worker_counts(capsys):
     assert "(bit-identical: True)" in capsys.readouterr().out
 
 
+def test_paths_demo_prints_the_path_counts(capsys):
+    runpy.run_path(str(DEMOS / "04_paths_and_percolation.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert "5x5 grid, everything alive: 5 disjoint LR paths, 5 disjoint TB paths" in lines
+    assert "column 2 dead: 0 LR, 4 TB" in lines
+
+
 def test_composition_and_comparison_demo_runs(capsys):
     runpy.run_path(str(DEMOS / "05_composition_and_comparison.py"), run_name="__main__")
     out = capsys.readouterr().out

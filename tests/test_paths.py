@@ -7,8 +7,7 @@ from maskquorum import ElementSet, MPathSpec, build
 from maskquorum.errors import ParameterError
 from maskquorum._bitops import unpack_masks
 from maskquorum._bitops import pack_rows
-from maskquorum.paths import (LR, TB, TriGrid, _fill, _row_words, disjoint_path_counts,
-                              grid_word_path_counts, max_disjoint_paths, mpath_live)
+from maskquorum.paths import TriGrid, _fill, _row_words, disjoint_path_counts, grid_word_path_counts
 
 from oracles import menger_disjoint_paths, packing_disjoint_paths, simple_crossing_paths
 
@@ -21,6 +20,11 @@ def every_alive_set(side):
     """The 2^(side*side) alive sets of a grid as boolean rows, in mask order."""
     n = side * side
     return unpack_masks(np.arange(1 << n, dtype=np.uint32), n)
+
+
+def full_counts(side, alive):
+    """Uncapped (LR, TB) path counts of one ElementSet: a one-row disjoint_path_counts."""
+    return disjoint_path_counts(side, alive.as_bool()[None], side)[0].tolist()
 
 
 def row_word_counts(side, alive, cap):
@@ -57,59 +61,39 @@ class TestTriGrid:
 
 
 class TestMaxDisjointPaths:
+    """Uncapped counts of single alive sets; column 0 is LR, column 1 TB."""
+
     def test_full_grid_side3(self):
-        g = TriGrid(3)
-        assert max_disjoint_paths(g, ElementSet.full(9), LR) == 3
-        assert max_disjoint_paths(g, ElementSet.full(9), TB) == 3
+        assert full_counts(3, ElementSet.full(9)) == [3, 3]
 
     def test_dead_column_blocks_all(self):
-        g = TriGrid(3)
         alive = ElementSet.full(9) - ElementSet.from_indices(9, [1, 4, 7])
-        assert max_disjoint_paths(g, alive, LR) == 0
+        assert full_counts(3, alive)[0] == 0
 
     def test_dead_center(self):
         # 8 alive vertices cannot host 3 disjoint crossing paths: the packing
         # oracle says 2.
         g = TriGrid(3)
         alive = ElementSet.full(9) - ElementSet.from_indices(9, [4])
-        assert packing_disjoint_paths(g, alive.mask, LR) == 2
-        assert max_disjoint_paths(g, alive, LR) == 2
+        assert packing_disjoint_paths(g, alive.mask, "LR") == 2
+        assert full_counts(3, alive)[0] == 2
 
     def test_universe_mismatch(self):
         with pytest.raises(ParameterError):
-            max_disjoint_paths(TriGrid(3), ElementSet.full(4), LR)
-
-    def test_bad_orientation(self):
-        with pytest.raises(ParameterError):
-            max_disjoint_paths(TriGrid(3), ElementSet.full(9), "diagonal")
+            full_counts(3, ElementSet.full(4))
 
     def test_exhaustive_side_le_3_matches_packing_oracle(self):
         for side in (2, 3):
             g = TriGrid(side)
+            got = disjoint_path_counts(side, every_alive_set(side), side)
             for mask in range(1 << g.n):
-                for o in (LR, TB):
-                    assert max_disjoint_paths(g, eset(side, mask), o) == \
-                        packing_disjoint_paths(g, mask, o), (side, mask, o)
-
-    def test_side4_random_matches_packing_oracle(self):
-        g = TriGrid(4)
-        rng = np.random.default_rng(7)
-        for trial in range(1000):
-            density = (0.2, 0.45, 0.7)[trial % 3]
-            mask = 0
-            for i in np.nonzero(rng.random(16) >= density)[0]:
-                mask |= 1 << int(i)
-            o = (LR, TB)[trial % 2]
-            assert max_disjoint_paths(g, eset(4, mask), o) == \
-                packing_disjoint_paths(g, mask, o)
+                want = [packing_disjoint_paths(g, mask, o) for o in ("LR", "TB")]
+                assert got[mask].tolist() == want, (side, mask)
 
     @given(st.integers(0, 2 ** 9 - 1), st.integers(0, 2 ** 9 - 1))
     def test_monotone_in_alive(self, a, b):
-        g = TriGrid(3)
         small, big = a & b, a | b
-        for o in (LR, TB):
-            lo = max_disjoint_paths(g, eset(3, small), o)
-            hi = max_disjoint_paths(g, eset(3, big), o)
+        for lo, hi in zip(full_counts(3, eset(3, small)), full_counts(3, eset(3, big))):
             assert lo <= hi <= 3
 
 
@@ -128,7 +112,7 @@ class TestDisjointPathCounts:
         rng = np.random.default_rng(side)
         for p in (0.125, 0.35, 0.5):
             alive = rng.random((4, g.n)) >= p
-            want = np.array([[menger_disjoint_paths(g, row, o) for o in (LR, TB)]
+            want = np.array([[menger_disjoint_paths(g, row, o) for o in ("LR", "TB")]
                              for row in alive])
             for cap in (1, 2, 4, side):
                 got = disjoint_path_counts(side, alive, cap)
@@ -182,16 +166,22 @@ class TestDisjointPathCounts:
 
 
 class TestMpathLive:
+    """MPath's live predicate on one alive set: at least r paths each way."""
+
+    @staticmethod
+    def live(side, r, alive):
+        return bool((disjoint_path_counts(side, alive.as_bool()[None], r) >= r).all())
+
     def test_full_grid(self):
         for r in (1, 2, 5):
-            assert mpath_live(5, r, ElementSet.full(25))
+            assert self.live(5, r, ElementSet.full(25))
 
     def test_straight_rows_and_columns(self):
         mask = 0
         for j in range(5):
             mask |= 1 << (0 * 5 + j) | 1 << (2 * 5 + j)  # rows 0, 2
             mask |= 1 << (j * 5 + 0) | 1 << (j * 5 + 2)  # cols 0, 2
-        assert mpath_live(5, 2, eset(5, mask))
+        assert self.live(5, 2, eset(5, mask))
 
     def test_single_cross_insufficient(self):
         mask = 0
@@ -199,13 +189,8 @@ class TestMpathLive:
             mask |= 1 << j          # row 0
             mask |= 1 << (j * 5)    # col 0
         alive = eset(5, mask)
-        g = TriGrid(5)
-        assert max_disjoint_paths(g, alive, LR) == 1
-        assert not mpath_live(5, 2, alive)
-
-    def test_r_out_of_range(self):
-        with pytest.raises(ParameterError):
-            mpath_live(3, 4, ElementSet.full(9))
+        assert full_counts(5, alive)[0] == 1
+        assert not self.live(5, 2, alive)
 
 
 class TestWordLayouts:
@@ -329,6 +314,6 @@ class TestCrossingProperty:
     def test_agrees_with_direct_path_pair_enumeration(self, side):
         g = TriGrid(side)
         full = (1 << g.n) - 1
-        lr_paths = simple_crossing_paths(g, full, LR)
-        tb_paths = simple_crossing_paths(g, full, TB)
+        lr_paths = simple_crossing_paths(g, full, "LR")
+        tb_paths = simple_crossing_paths(g, full, "TB")
         assert all(p & q for p in lr_paths for q in tb_paths)
