@@ -17,8 +17,8 @@ and check_masking's resilience half, and logged at DEBUG on the
 incidence matrix from ``unpack_masks`` of the same words; a fair system's
 load is is_fair(sys).s / sys.n.
 
-Only ``load_lp`` needs scipy (``scipy.optimize.milp``, reached through the
-CLI's ``load`` and ``oracle``), and it imports it when called, so importing
+Only ``load_lp`` needs scipy (``scipy.optimize.milp``, reached only through
+the CLI's ``load``), and it imports it when called, so importing
 this module or the package does not load scipy.optimize.  The load LP goes
 to HiGHS as one dense constraint block through ``milp`` with every variable
 continuous and presolve off, which skips ``linprog``'s input cleaning.

@@ -242,11 +242,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not handle.live_batch(handle.sample_quorums(gen, 100)).all():
         mismatches.append("sampled quorum is not live")
 
+    # A fair system's load is s/n (Naor & Wool); the tolerance absorbs the
+    # ulp a composition's product of part loads can be off by.
     fair = is_fair(system)
-    if fair and system.m <= LP_MAX_QUORUMS and n <= LP_MAX_N:
-        lp_value, _ = load_lp(system)
-        if abs(lp_value - fair.s / n) > 1e-6:
-            mismatches.append(f"fair load: lp {lp_value} != c/n {fair.s / n}")
+    if fair and abs(params.load - fair.s / n) > 1e-9:
+        mismatches.append(f"load: analytic {params.load} != s/n {fair.s / n} "
+                          "of the fair system")
 
     if mismatches:
         for line in mismatches:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -419,6 +420,20 @@ class TestOracle:
         assert code == 4
         assert "mismatch" in err
 
+    def test_wrong_analytic_load_exits_4(self, capsys, monkeypatch):
+        # Threshold(3,2) is fair with s/n = 2/3; the handle claims 1/2.
+        build = cli.build
+
+        def wrong_load(spec):
+            handle = build(spec)
+            handle.params = dataclasses.replace(handle.params, load=0.5)
+            return handle
+
+        monkeypatch.setattr(cli, "build", wrong_load)
+        code, _, err = run_cli(capsys, "oracle", THRESHOLD32)
+        assert code == 4
+        assert "oracle mismatch: load: analytic 0.5 != s/n 0.6666666666666666" in err
+
     @pytest.mark.parametrize("reported, message", [
         (False, "live: quorum alive but handle dead"),
         (True, "live: handle alive but no quorum alive"),
@@ -524,7 +539,8 @@ for spec in (mq.RTSpec(4, 3, 5), mq.BoostFPPSpec(3, 19), mq.MPathSpec(32, 7)):
 for argv in (["fp", {RT_4_3_5!r}, "--p", "0.125", "--mc", "--workers", "1",
               "--trials", "2000"],
              ["fp", {MGRID_4_1!r}, "--p", "0.125", "--exact"],
-             ["params", {RT_4_3_5!r}]):
+             ["params", {RT_4_3_5!r}],
+             ["oracle", '{{"BoostFPP": {{"q": 2, "b": 1}}}}']):
     assert maskquorum.cli.main(argv) == 0, argv
 print(json.dumps([m for m in ("scipy.optimize", "concurrent.futures") if m in sys.modules]))
 """
