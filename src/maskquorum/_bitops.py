@@ -34,11 +34,14 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     """
     t, n = bits.shape
     width, dtype = _word_layout(n)
-    padded = np.zeros((t, -(-n // width) * width), dtype=bool)
-    padded[:, :n] = bits
+    bits = np.asarray(bits, dtype=bool)
+    if n % width:  # pad the rows to whole words
+        padded = np.zeros((t, -(-n // width) * width), dtype=bool)
+        padded[:, :n] = bits
+        bits = padded
     # Rows are whole words, so one flat packbits (faster than axis=1) packs each.
-    packed = np.packbits(padded.ravel(), bitorder="little")
-    return packed.view(dtype).reshape(t, padded.shape[1] // width)
+    packed = np.packbits(bits.ravel(), bitorder="little")
+    return packed.view(dtype).reshape(t, bits.shape[1] // width)
 
 
 def pack_ints(masks: list[int], n: int) -> np.ndarray:

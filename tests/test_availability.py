@@ -171,6 +171,21 @@ class TestCrashProbMc:
         with pytest.raises(ParameterError):
             mq.crash_prob_mc(build(mq.ThresholdSpec(3, 2)), 0.5, trials=0, seed=0)
 
+    @pytest.mark.parametrize("spec, p, crashed", [
+        (mq.MGridSpec(32, 15), 0.05, 771), (mq.RTSpec(4, 3, 5), 0.23, 869),
+        (mq.BoostFPPSpec(3, 19), 0.25, 1859), (mq.MGridSpec(5, 2), 0.3, 3735),
+        (mq.MGridSpec(9, 4), 0.1, 1503)], ids=str)
+    def test_pinned_crash_counts(self, monkeypatch, spec, p, crashed):
+        # Crash counts of 4096 trials at seed 2024, pinned before the MGrid
+        # and threshold predicates moved onto packed words; each holds at
+        # every chunk size and worker count.
+        handle = build(spec)
+        for doubles in (1 << 12, 1 << 18):
+            monkeypatch.setattr(availability, "_MC_DOUBLES_PER_CHUNK", doubles)
+            for workers in (1, 2):
+                est = mq.crash_prob_mc(handle, p, trials=4096, seed=2024, workers=workers)
+                assert est.value * 4096 == crashed, (doubles, workers)
+
 
 class TestRouteLogging:
     """crash_prob_exact and crash_prob_mc log their route at DEBUG."""

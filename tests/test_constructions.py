@@ -296,9 +296,10 @@ class TestLivePredicate:
         alive[1, 150:] = False
         assert handle.live_batch(alive).tolist() == [True, False]
 
-    @pytest.mark.parametrize("k", [1, 2, 4, 5, 77, 300])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9, 77, 300])
     def test_threshold_count_matches_int64_sum(self, k):
-        # Column adds count blocks of up to 8 columns, einsum the wider ones.
+        # C-ordered blocks of 4 and 8 columns are counted as one word, other
+        # blocks of up to 8 columns by column adds, and wider ones by einsum.
         # The count is called directly: no ell-of-2 system exists to build.
         rng = np.random.default_rng(k)
         alive = rng.random((400, k)) < rng.random((400, 1))
@@ -307,6 +308,50 @@ class TestLivePredicate:
             want = alive.sum(axis=1) >= ell
             for layout in (alive, np.asfortranarray(alive)):
                 assert np.array_equal(ThresholdHandle._live_batch(block, layout), want)
+
+
+def _grids_with_full_lines(side, full_rows, full_cols, rng, count):
+    """count alive grids, each with exactly full_rows full rows and full_cols
+    full columns (both below side), as (count, side*side) rows."""
+    grids = rng.random((count, side, side)) < 0.8
+    for grid in grids:
+        rows = rng.permutation(side)
+        cols = rng.permutation(side)
+        grid[rows[:full_rows], :] = True
+        grid[:, cols[:full_cols]] = True
+        # A dead cell off the chosen lines breaks each other row and column.
+        for i in rows[full_rows:]:
+            grid[i, rng.choice(cols[full_cols:])] = False
+        for j in cols[full_cols:]:
+            grid[rng.choice(rows[full_rows:]), j] = False
+    return grids.reshape(count, side * side)
+
+
+class TestMGridWords:
+    """MGrid's word predicate (one word per grid up to side 8, row words
+    past it) against full rows and columns counted with all(axis=...)."""
+
+    @pytest.mark.parametrize("side", list(range(2, 13)) + [16, 31, 32, 33, 40, 65])
+    def test_matches_all_reference(self, side):
+        rng = np.random.default_rng(side)
+        for b in sorted({0, (side - 1) // 2}):
+            handle = build(mq.MGridSpec(side, b))
+            g = handle.g
+            parts = [rng.random((200, side * side)) < 0.95]
+            for r in (g - 1, g):
+                for c in (g - 1, g):
+                    parts.append(_grids_with_full_lines(side, r, c, rng, 8))
+            alive = np.concatenate(parts)
+            grid = alive.reshape(len(alive), side, side)
+            rows, cols = grid.all(axis=2).sum(axis=1), grid.all(axis=1).sum(axis=1)
+            assert {(r, c) for r, c in zip(rows[200:], cols[200:])} == {
+                (g - 1, g - 1), (g - 1, g), (g, g - 1), (g, g)}
+            want = (rows >= g) & (cols >= g)
+            for layout, expected in ((alive, want), (np.asfortranarray(alive), want),
+                                     (alive[::-1], want[::-1])):
+                got = handle.live_batch(layout)
+                assert got.dtype == bool
+                np.testing.assert_array_equal(got, expected)
 
 
 def _rt_live_reference(spec, alive):

@@ -143,6 +143,26 @@ class TestPackInts:
         np.testing.assert_array_equal(got, want)
 
 
+class TestPackRows:
+    """pack_rows against np.packbits, on every memory layout: rows that fill
+    whole words (n = 32, or a multiple of 64) skip the zero-padded copy."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 31, 32, 33, 63, 64, 65, 128, 1024])
+    def test_matches_packbits(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.random((41, 2 * n + 3)) < 0.5
+        width = 32 if n <= 32 else 64
+        dtype = np.dtype("<u4" if width == 32 else "<u8")
+        for bits in (np.ascontiguousarray(base[:, :n]), np.asfortranarray(base[:, :n]),
+                     base[::2, 3:3 + 2 * n:2]):
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            padded = np.zeros((len(bits), -(-n // width) * width // 8), dtype=np.uint8)
+            padded[:, :packed.shape[1]] = packed
+            got = pack_rows(bits)
+            assert got.dtype == dtype and got.shape == (len(bits), -(-n // width))
+            np.testing.assert_array_equal(got, padded.view(dtype))
+
+
 class TestValidateExplicit:
     """The intersection check, check_masking(sys, 0)."""
 
