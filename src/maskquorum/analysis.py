@@ -280,12 +280,12 @@ def load_lp(sys: ExplicitQuorumSystem) -> tuple[float, AccessStrategy]:
     sum_{Q containing u} w(Q) <= t.  Returns the optimal t and a witnessing
     strategy whose induced maximum load equals t (within 1e-9).
     """
-    from scipy.optimize import LinearConstraint, milp
-
     if sys.m > LP_MAX_QUORUMS or sys.n > LP_MAX_N:
         raise SizeError(
             f"load LP capped at {LP_MAX_QUORUMS} quorums and n <= {LP_MAX_N}; "
             f"got m={sys.m}, n={sys.n}")
+    from scipy.optimize import LinearConstraint, milp
+
     m, n = sys.m, sys.n
     # Variables w_0..w_{m-1}, t; rows: each element's load minus t, then the
     # weight sum.  Presolve does not pay at these sizes: the 17 roster LPs of

@@ -16,8 +16,8 @@ set's complement is live iff the set crosses the grid neither way.  Monte
 Carlo uses counter-based randomness, so estimates are bit-identical for a
 given seed regardless of chunking or thread count.
 
-The threshold closed forms sum in doubles while C(k, k/2) fits one (k up to
-1029) and in exact integers past it, as mgrid_fp_exact does throughout.
+The threshold closed forms, like mgrid_fp_exact, sum in exact integers over
+p's binary fraction and round once.
 
 Only ``rt_critical_probability`` needs scipy (``scipy.optimize.brentq``,
 reached through the RT handle's ``published_bounds``, ``fp --bounds`` on RT
@@ -257,14 +257,9 @@ def threshold_g(k: int, ell: int, p: float) -> ThresholdG:
     ThresholdSpec(k, ell)
     _check_probability(p)
     d = k - ell + 1
-    try:
-        exact = sum(math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(d, k + 1))
-        upper = math.comb(k, ell - 1) * p ** d
-    except OverflowError:  # C(k, k/2) passes the double range from k = 1030 on
-        crashed, scale = p.as_integer_ratio()
-        exact = _binomial_tail(k, d, crashed, scale)
-        upper = _capped_ratio(math.comb(k, ell - 1) * crashed ** d, scale ** d)
-    return ThresholdG(exact=min(max(exact, 0.0), 1.0), lemma_upper=min(upper, 1.0))
+    crashed, scale = p.as_integer_ratio()
+    return ThresholdG(exact=_binomial_tail(k, d, crashed, scale),
+                      lemma_upper=_capped_ratio(math.comb(k, ell - 1) * crashed ** d, scale ** d))
 
 
 def _capped_ratio(num: int, den: int) -> float:
@@ -333,20 +328,10 @@ def rt_fp_upper(k: int, ell: int, h: int, p: float) -> float:
         raise ParameterError(f"depth must be >= 0, got {h}")
     ThresholdSpec(k, ell)
     _check_probability(p)
-    comb = math.comb(k, ell - 1)
-    try:
-        base = comb * p
-    except OverflowError:  # comb past the double range
-        crashed, scale = p.as_integer_ratio()
-        base = _capped_ratio(comb * crashed, scale)
-    if base >= 1.0:
-        return 1.0
-    if base == 0.0:
-        return 0.0
-    try:
-        return min(1.0, base ** float((k - ell + 1) ** h))
-    except OverflowError:
-        return 0.0  # base < 1 raised to an astronomically large power
+    crashed, scale = p.as_integer_ratio()
+    base = _capped_ratio(math.comb(k, ell - 1) * crashed, scale)
+    # A base below 1 is at most 1 - 2^-53, so a power past 10^300 is 0.0.
+    return base ** min((k - ell + 1) ** h, 1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ parameters, a live-quorum predicate, a batched quorum sampler (load-optimal
 but for MPath's; see MPathHandle), and (for small instances) materialization
 to an ExplicitQuorumSystem.  MGrid and MPath share one row/column handle,
 FPP answers from its explicit plane, and BoostFPP and RT are compositions:
-RT(k, ell, h) is Threshold(k, ell) composed over RT(k, ell, h-1), ending in
-the 1-of-1 block at h = 1, and keeps only its own sampler and bounds.  MPath
-materializes only its straight-path quorums, so it and every composition
+RT(k, ell, h) is RT(k, ell, h-1) composed over Threshold(k, ell), starting
+from the 1-of-1 block at h = 1, and keeps only its own sampler and bounds.
+MPath materializes only its straight-path quorums, so it and every composition
 containing it report lists_every_quorum = False.  Each handle owns its exact
 route: exact_route() names it and returns the crash probability F(p), or
 raises SizeError before any work.  Threshold and MGrid have closed forms, a
@@ -46,6 +46,10 @@ __all__ = [
 # Deepest recursive threshold: RT(k, ell, h) nests h composed handles, a few
 # Python frames each, which must fit in the interpreter's recursion limit.
 RT_MAX_DEPTH = 200
+# Longest quorum count, in bits, that quorum_count() computes.  RT(4,3,h) has
+# a count of 3^h bits: 531 441 at h = 12 take milliseconds, but h = 18 took
+# 1.4 s and 194 MB, and math.comb takes seconds past about 10^6 bits.
+COUNT_MAX_BITS = 1 << 20
 
 
 def _is_prime(q: int) -> bool:
@@ -81,6 +85,20 @@ def _require_int_fields(spec) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterError(
                 f"{type(spec).__name__}.{name} must be an integer, got {value!r}")
+
+
+def _require_count_bits(spec, bits: float) -> None:
+    """SizeError for a quorum count below 2^bits where bits passes the limit."""
+    if bits > COUNT_MAX_BITS:
+        raise SizeError(f"quorum count of {spec} needs about {bits:.0f} bits, "
+                        f"past the limit of {COUNT_MAX_BITS}")
+
+
+def _checked_comb(spec, k: int, j: int, power: int = 1) -> int:
+    """C(k, j)^power, refused first where its lgamma estimate passes the limit."""
+    lg = math.lgamma
+    _require_count_bits(spec, power * (lg(k + 1) - lg(j + 1) - lg(k - j + 1)) / math.log(2))
+    return math.comb(k, j) ** power
 
 
 def _require_prime(q: int) -> None:
@@ -344,7 +362,8 @@ class QuorumSystemHandle:
         raise NotImplementedError
 
     def quorum_count(self) -> int:
-        """Total number of quorums the construction defines."""
+        """Total number of quorums the construction defines; SizeError, before
+        any work, where the count may pass COUNT_MAX_BITS bits."""
         raise NotImplementedError
 
     def iter_quorum_masks(self) -> Iterator[int]:
@@ -354,8 +373,10 @@ class QuorumSystemHandle:
         """Enumerate every quorum explicitly (straight-path quorums for MPath)."""
         count = self.quorum_count()
         if count > max_quorums:
+            # Python refuses to print an int of more than 4300 digits.
+            size = count if count.bit_length() <= 64 else f"a {count.bit_length()}-bit count of"
             raise SizeError(
-                f"construction has {count} quorums, exceeding the cap of {max_quorums}")
+                f"construction has {size} quorums, exceeding the cap of {max_quorums}")
         return ExplicitQuorumSystem.from_masks(self.params.n, self.iter_quorum_masks())
 
     def __repr__(self) -> str:
@@ -396,7 +417,7 @@ class ThresholdHandle(QuorumSystemHandle):
         return _member_matrix(_uniform_subsets(gen, count, k, self.spec.ell), k)
 
     def quorum_count(self) -> int:
-        return math.comb(self.spec.k, self.spec.ell)
+        return _checked_comb(self.spec, self.spec.k, self.spec.ell)
 
     def iter_quorum_masks(self) -> Iterator[int]:
         for subset in combinations(range(self.spec.k), self.spec.ell):
@@ -414,9 +435,6 @@ class _RowColumnHandle(QuorumSystemHandle):
         n = side * side
         c = 2 * g * side - g * g
         self.params = SystemParams(n=n, c=c, i_min=i_min, a_min=side - g + 1, load=c / n)
-        self._rows = [((1 << side) - 1) << (i * side) for i in range(side)]
-        first = sum(1 << (i * side) for i in range(side))
-        self._cols = [first << j for j in range(side)]
 
     def _sample_quorums(self, gen: np.random.Generator, count: int) -> np.ndarray:
         # Draw rows 2i and 2i+1 pick quorum i's rows, then its columns.
@@ -426,11 +444,14 @@ class _RowColumnHandle(QuorumSystemHandle):
         return (rows | cols).reshape(count, side * side)
 
     def quorum_count(self) -> int:
-        return math.comb(self.spec.side, self.g) ** 2
+        return _checked_comb(self.spec, self.spec.side, self.g, power=2)
 
     def iter_quorum_masks(self) -> Iterator[int]:
-        col_unions = [sum(cj) for cj in combinations(self._cols, self.g)]
-        for ri in combinations(self._rows, self.g):
+        side = self.spec.side
+        rows = [((1 << side) - 1) << (i * side) for i in range(side)]
+        first = sum(1 << (i * side) for i in range(side))
+        col_unions = [sum(cj) for cj in combinations([first << j for j in range(side)], self.g)]
+        for ri in combinations(rows, self.g):
             row_union = sum(ri)
             for col_union in col_unions:
                 yield row_union | col_union
@@ -566,8 +587,11 @@ class ComposedHandle(QuorumSystemHandle):
         return out.reshape(count, self.params.n)
 
     def quorum_count(self) -> int:
-        # Every quorum of every handle has exactly params.c members.
-        return self.outer.quorum_count() * self.inner.quorum_count() ** self.outer.params.c
+        # Every quorum of every handle has exactly params.c members, so the
+        # count is m_outer * m_inner^c < 2^(bits(m_outer) + c ceil(log2 m_inner)).
+        outer, inner, c = self.outer.quorum_count(), self.inner.quorum_count(), self.outer.params.c
+        _require_count_bits(self.spec, outer.bit_length() + c * (inner - 1).bit_length())
+        return outer * inner ** c
 
     def iter_quorum_masks(self) -> Iterator[int]:
         return iter_composed_masks(self.outer.iter_quorum_masks(),
@@ -595,13 +619,14 @@ class BoostFPPHandle(ComposedHandle):
 
 class RTHandle(ComposedHandle):
     """Depth-h recursion of the ell-of-k threshold over k^h leaves:
-    Threshold(k, ell) composed over RT(k, ell, h-1), where depth 1 composes
-    the block over single elements (the 1-of-1 threshold)."""
+    RT(k, ell, h-1) composed over Threshold(k, ell), and at depth 1 the 1-of-1
+    threshold over the block.  Nested to the left, the live predicate reaches
+    the 1-of-1 block with one row per trial, not one per leaf."""
 
     def __init__(self, spec: RTSpec):
         k, ell = spec.k, spec.ell
-        inner = RTSpec(k, ell, spec.h - 1) if spec.h > 1 else ThresholdSpec(1, 1)
-        super().__init__(ComposedSpec(ThresholdSpec(k, ell), inner))
+        outer = RTSpec(k, ell, spec.h - 1) if spec.h > 1 else ThresholdSpec(1, 1)
+        super().__init__(ComposedSpec(outer, ThresholdSpec(k, ell)))
         self.spec = spec
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,6 +272,19 @@ class TestThresholdG:
     def test_p_zero(self):
         assert mq.threshold_g(5, 4, 0.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("k, ell, p", [
+        (4, 3, 0.2312345), (4, 3, 0.125), (77, 58, 0.125), (1000, 750, 0.1)])
+    def test_correctly_rounded(self, k, ell, p):
+        # Both forms as exact fractions over p = crashed / scale, rounded
+        # once; a sum in doubles is an ulp off at (4, 3, 0.2312345).
+        crashed, scale = p.as_integer_ratio()
+        alive, d = scale - crashed, k - ell + 1
+        tail = sum(math.comb(k, j) * crashed ** j * alive ** (k - j) for j in range(d, k + 1))
+        upper = Fraction(math.comb(k, ell - 1) * crashed ** d, scale ** d)
+        got = mq.threshold_g(k, ell, p)
+        assert got.exact == float(Fraction(tail, scale ** k))
+        assert got.lemma_upper == float(min(1, upper))
+
     def test_exact_below_lemma_upper_sweep(self):
         for k in range(3, 13):
             for ell in range(k // 2 + 1, k):
@@ -287,8 +301,8 @@ class TestThresholdG:
 
 
 class TestLargeThreshold:
-    """Past k = 1029, C(k, k/2) passes the double range; the closed forms
-    then sum in exact integers and still return finite values in [0, 1]."""
+    """Past k = 1029, C(k, k/2) passes the double range; the closed forms,
+    summed in exact integers, still return finite values in [0, 1]."""
 
     def test_threshold_g_at_k_2000(self):
         for ell in (1001, 1500):

@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,17 @@ class TestLoad:
 
     def test_large_composed_is_analytic(self, capsys):
         code, out, _ = run_cli(capsys, "load", LARGE_COMPOSED)
+        assert code == 0
+        assert json.loads(out)["method"] == "analytic"
+
+    @pytest.mark.parametrize("spec", [
+        '{"RT": {"k": 4, "ell": 3, "h": 20}}',
+        '{"RT": {"k": 4, "ell": 3, "h": 200}}',
+        '{"Threshold": {"k": 10000000, "ell": 7500001}}',
+    ], ids=["RT(4,3,20)", "RT(4,3,200)", "Threshold(10^7)"])
+    def test_quorum_count_past_its_bit_limit_is_analytic(self, capsys, spec):
+        # Each count has millions of bits or more; quorum_count refuses it at once.
+        code, out, _ = run_cli(capsys, "load", spec)
         assert code == 0
         assert json.loads(out)["method"] == "analytic"
 
@@ -288,6 +301,16 @@ class TestCompose:
         assert payload["params"]["n"] == 1001
         assert "explicit" not in payload
 
+    def test_deep_inner_gives_params_only(self, capsys):
+        rt = mq.build(mq.RTSpec(4, 3, 30)).params
+        code, out, _ = run_cli(capsys, "compose", THRESHOLD32,
+                               '{"RT": {"k": 4, "ell": 3, "h": 30}}')
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["n"] == 3 * rt.n
+        assert payload["params"]["c"] == 2 * rt.c
+        assert "explicit" not in payload
+
     def test_large_composed_outer_gives_params_only(self, capsys):
         code, out, _ = run_cli(capsys, "compose", LARGE_COMPOSED, THRESHOLD32)
         assert code == 0
@@ -344,10 +367,6 @@ class TestTable8:
         payload = json.loads(out)
         assert len(payload["rows"]) == 4
         assert any("28" in note for note in payload["notes"])
-
-    def test_other_n_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "table8", "--n", "512")
-        assert code == 2
 
     def test_bad_probability_rejected(self, capsys):
         code, _, err = run_cli(capsys, "table8", "--p", "1.5")
@@ -522,6 +541,41 @@ class TestOracle:
         assert code == 3
         assert "exceeding the cap" in err
 
+    @pytest.mark.parametrize("h, message", [
+        (9, "19683-bit count of quorums, exceeding the cap"),
+        (200, "past the limit"),
+    ])
+    def test_deep_recursive_threshold_exits_3(self, capsys, h, message):
+        # RT(4,3,h) has a quorum count of 3^h bits, too long to print in
+        # decimal at h = 9 and refused before it is computed at h = 200.
+        code, _, err = run_cli(capsys, "oracle", f'{{"RT": {{"k": 4, "ell": 3, "h": {h}}}}}')
+        assert code == 3
+        assert message in err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ("load", THRESHOLD32, "--materialize-cap", "10"),
+        ("compose", '{"FPP": {"q": 2}}', THRESHOLD32, "--materialize-cap", "10"),
+        ("oracle", THRESHOLD32, "--max-quorums", "10"),
+        ("table8", "--n", "512"),
+    ], ids=["load-materialize-cap", "compose-materialize-cap", "oracle-max-quorums",
+            "table8-n"])
+    def test_removed_option_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_names_only_parser_options(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {opt for p in (parser, *sub.choices.values())
+                   for opt in p._option_string_actions}
+        assert named and named <= options, sorted(named - options)
+
 
 class TestColdStart:
     """Only the calls that use scipy.optimize or a thread pool import them.
@@ -540,7 +594,8 @@ for argv in (["fp", {RT_4_3_5!r}, "--p", "0.125", "--mc", "--workers", "1",
               "--trials", "2000"],
              ["fp", {MGRID_4_1!r}, "--p", "0.125", "--exact"],
              ["params", {RT_4_3_5!r}],
-             ["oracle", '{{"BoostFPP": {{"q": 2, "b": 1}}}}']):
+             ["oracle", '{{"BoostFPP": {{"q": 2, "b": 1}}}}'],
+             ["load", '{{"Threshold": {{"k": 1001, "ell": 1000}}}}']):
     assert maskquorum.cli.main(argv) == 0, argv
 print(json.dumps([m for m in ("scipy.optimize", "concurrent.futures") if m in sys.modules]))
 """

@@ -148,11 +148,11 @@ def test_composition_is_associative(components):
 
 def test_recursive_threshold_is_iterated_composition():
     for k, ell, h in [(4, 3, 2), (3, 2, 2), (3, 2, 3), (5, 3, 2)]:
-        # The block composed over itself h - 1 times, as nested ComposedSpecs.
+        # The block composed over itself h - 1 times, nested to the left.
         block = mq.ThresholdSpec(k, ell)
         spec = block
         for _ in range(h - 1):
-            spec = mq.ComposedSpec(block, spec)
+            spec = mq.ComposedSpec(spec, block)
         composed = build(spec)
         rt = build(mq.RTSpec(k, ell, h))
         explicit = rt.materialize(10 ** 4)

@@ -492,6 +492,26 @@ class TestSampleQuorums:
         assert [handle.sample_quorum(gen).mask for _ in want] == want
 
 
+def test_rt_counts_blocks_before_the_root(monkeypatch):
+    # RT nests to the left, so its threshold calls see one row per block of
+    # k leaves and, at the 1-of-1 root, one row per trial.
+    seen = []
+    live_batch = ThresholdHandle._live_batch
+
+    def recording(self, alive):
+        seen.append((self.spec.k, alive.shape))
+        return live_batch(self, alive)
+
+    monkeypatch.setattr(ThresholdHandle, "_live_batch", recording)
+    trials = 32
+    for h in (1, 2, 5):
+        seen.clear()
+        handle = build(mq.RTSpec(4, 3, h))
+        handle.live_batch(np.random.default_rng(h).random((trials, handle.n)) < 0.8)
+        assert max(rows for _, (rows, _) in seen) == trials * 4 ** (h - 1), h
+        assert (1, (trials, 1)) in seen, h
+
+
 class TestMaterialize:
     def test_counts(self):
         assert build(mq.MGridSpec(4, 1)).quorum_count() == math.comb(4, 2) ** 2 == 36
@@ -518,6 +538,13 @@ class TestMaterialize:
         system = build(mq.ThresholdSpec(4, 3)).materialize(10)
         assert system.m == 4
         assert all(len(q) == 3 for q in system.quorums)
+
+    def test_counts_up_to_the_bit_limit(self):
+        # RT(4,3,h) has 4^((3^h - 1) / 2) quorums, a count of 3^h bits.
+        assert build(mq.RTSpec(4, 3, 12)).quorum_count() == 1 << (3 ** 12 - 1)
+        for spec in (mq.RTSpec(4, 3, 13), mq.ThresholdSpec(10 ** 7, 7500001)):
+            with pytest.raises(SizeError, match="past the limit"):
+                build(spec).quorum_count()
 
     def test_cap_error_reports_exact_count(self):
         with pytest.raises(SizeError, match="36"):
