@@ -45,29 +45,30 @@ from .availability import (
     rt_fp_upper,
     threshold_g,
 )
-from .composition import compose_explicit, compose_params
 from .constructions import (
-    BoostFPPSpec,
-    ComposedSpec,
-    ConstructionSpec,
-    FPPSpec,
-    MGridSpec,
-    MPathSpec,
+    ExplicitQuorumSystem,
     QuorumSystemHandle,
-    RTSpec,
-    ThresholdSpec,
     build,
+    compose_explicit,
+    compose_params,
     fpp_lines,
-    spec_from_json,
-    spec_to_json,
 )
 from .core import (
     AccessStrategy,
+    BoostFPPSpec,
+    ComposedSpec,
+    ConstructionSpec,
     ElementSet,
-    ExplicitQuorumSystem,
+    FPPSpec,
+    MGridSpec,
+    MPathSpec,
     Rng,
+    RTSpec,
     SystemParams,
+    ThresholdSpec,
     sample_crash_set,
+    spec_from_json,
+    spec_to_json,
 )
 from .errors import (
     ApplicabilityError,

@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._bitops import bools_to_int, pack_rows, unpack_masks
-from .core import AccessStrategy, ElementSet, ExplicitQuorumSystem
+from .constructions import ExplicitQuorumSystem
+from .core import AccessStrategy, ElementSet
 from .errors import NumericalError, ParameterError, SizeError
 
 __all__ = [

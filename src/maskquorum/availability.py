@@ -33,14 +33,16 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from ._bitops import ceil_sqrt, popcount, unpack_masks
-from .constructions import MGridSpec, QuorumSystemHandle, ThresholdSpec, _require_prime
-from .core import ExplicitQuorumSystem, Rng, SystemParams
+from .core import MGridSpec, Rng, SystemParams, ThresholdSpec, _require_prime
 from .errors import ApplicabilityError, NumericalError, ParameterError, SizeError
+
+if TYPE_CHECKING:
+    from .constructions import ExplicitQuorumSystem, QuorumSystemHandle
 
 __all__ = [
     "EstimateResult", "crash_profile", "crash_prob_exact", "crash_prob_mc",

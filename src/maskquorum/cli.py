@@ -29,18 +29,18 @@ import numpy as np
 
 from .analysis import LP_MAX_QUORUMS, check_masking, combinatorial_params, is_fair, load_lp
 from .availability import EstimateResult, crash_prob_exact, crash_prob_mc
-from .constructions import (
+from .constructions import build
+from .core import (
     BoostFPPSpec,
     ComposedSpec,
     ConstructionSpec,
     MGridSpec,
     MPathSpec,
+    Rng,
     RTSpec,
-    build,
     spec_from_json,
     spec_to_json,
 )
-from .core import Rng
 from .errors import MaskQuorumError, ParameterError, SizeError
 
 # The published comparison point reports the crossing-paths resilience as 29;
@@ -73,7 +73,7 @@ def _load_spec(arg: str) -> ConstructionSpec:
         pass
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ParameterError(f"spec is neither a readable file nor valid JSON: {exc}") from exc
     return spec_from_json(obj)
 

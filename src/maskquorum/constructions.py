@@ -1,5 +1,8 @@
-"""Builders for the masking quorum-system families.
+"""Quorum systems: the explicit system, composition, and the family builders.
 
+ExplicitQuorumSystem lists its quorums, for the oracles.  Composition replaces
+each outer element by a copy of the inner system: compose_params multiplies
+the five measures, and compose_explicit enumerates the composed quorums.
 Each builder returns a QuorumSystemHandle exposing closed-form combinatorial
 parameters, a live-quorum predicate, a batched quorum sampler (load-optimal
 but for MPath's; see MPathHandle), and (for small instances) materialization
@@ -23,46 +26,168 @@ i-th inner copy occupies the index block [i*n_inner, (i+1)*n_inner).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
-from typing import Callable, Iterator, Union
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._bitops import bools_to_int, ceil_sqrt, pack_rows, popcount, unpack_masks
-from .composition import compose_params, iter_composed_masks
-from .core import ElementSet, ExplicitQuorumSystem, Rng, SystemParams
-from .errors import ApplicabilityError, ParameterError, SizeError, UnsupportedOrderError
+from ._bitops import (
+    BLOCK_WORDS, NO_PAIR, bools_to_int, iter_bits, pack_ints, pack_rows, pair_intersections,
+    popcount, unpack_masks,
+)
+from .availability import (
+    boostfpp_fp_upper, enumeration_route, fp_lower_bounds, live_batch_kills, mask_chunks,
+    mgrid_fp_exact, mgrid_fp_lower, mpath_fp_upper, rt_critical_probability, rt_fp_upper,
+    threshold_g,
+)
+from .core import (  # the specs and their encoding keep this import path too
+    RT_MAX_DEPTH, BoostFPPSpec, ComposedSpec, ConstructionSpec, ElementSet, FPPSpec, MGridSpec,
+    MPathSpec, Rng, RTSpec, SystemParams, ThresholdSpec, spec_from_json, spec_to_json,
+)
+from .errors import ApplicabilityError, ParameterError, SizeError
 from .paths import disjoint_path_counts, grid_word_path_counts
 
 __all__ = [
     "MGridSpec", "ThresholdSpec", "RTSpec", "FPPSpec", "BoostFPPSpec",
-    "MPathSpec", "ComposedSpec", "ConstructionSpec",
+    "MPathSpec", "ComposedSpec", "ConstructionSpec", "spec_to_json", "spec_from_json",
+    "ExplicitQuorumSystem", "compose_explicit", "compose_params", "iter_composed_masks",
     "QuorumSystemHandle", "build", "fpp_lines",
-    "spec_to_json", "spec_from_json",
 ]
 
-# Deepest recursive threshold: RT(k, ell, h) nests h composed handles, a few
-# Python frames each, which must fit in the interpreter's recursion limit.
-RT_MAX_DEPTH = 200
 # Longest quorum count, in bits, that quorum_count() computes.  RT(4,3,h) has
 # a count of 3^h bits: 531 441 at h = 12 take milliseconds, but h = 18 took
 # 1.4 s and 194 MB, and math.comb takes seconds past about 10^6 bits.
 COUNT_MAX_BITS = 1 << 20
+DEFAULT_COMPOSE_CAP = 10 ** 6
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
-    return True
+@dataclass(frozen=True)
+class ExplicitQuorumSystem:
+    """A quorum system given by an explicit, ordered list of quorums.
+
+    Construction rejects an empty list, empty quorums, universe mismatches,
+    and duplicate quorums.  Pairwise intersection is *not* enforced here, so
+    that analysis.check_masking can report a disjoint pair on any input.
+    """
+
+    n: int
+    quorums: tuple[ElementSet, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ParameterError(f"universe size must be >= 1, got {self.n}")
+        object.__setattr__(self, "quorums", tuple(self.quorums))
+        if not self.quorums:
+            raise ParameterError("empty quorum system")
+        seen: set[int] = set()
+        for idx, q in enumerate(self.quorums):
+            if not isinstance(q, ElementSet):
+                raise ParameterError(f"quorum {idx} is not an ElementSet")
+            if q.n != self.n:
+                raise ParameterError(f"quorum {idx} lives in a different universe")
+            if q.mask == 0:
+                raise ParameterError(f"quorum {idx} is empty")
+            if q.mask in seen:
+                raise ParameterError(f"duplicate quorum at index {idx}")
+            seen.add(q.mask)
+
+    @classmethod
+    def from_masks(cls, n: int, masks: Iterable[int]) -> "ExplicitQuorumSystem":
+        return cls(n, tuple(ElementSet(n, m) for m in masks))
+
+    @property
+    def m(self) -> int:
+        return len(self.quorums)
+
+    def quorum_masks(self) -> list[int]:
+        return [q.mask for q in self.quorums]
+
+    @cached_property
+    def quorum_words(self) -> np.ndarray:
+        """The quorum list as a read-only (m, W) packed word matrix (pack_rows
+        layout), built once per system."""
+        words = pack_ints(self.quorum_masks(), self.n)
+        words.setflags(write=False)
+        return words
+
+    @cached_property
+    def smallest_pair(self) -> tuple[int, int, int] | None:
+        """(size, i, j) of a smallest intersection over quorum pairs i < j, the
+        first such pair in (i, j) order; None for a single-quorum system.
+
+        One pairwise-intersection pass per system, shared by
+        combinatorial_params and check_masking."""
+        best = None
+        for i0, sizes in pair_intersections(self.quorum_words):
+            k, j = np.unravel_index(np.argmin(sizes), sizes.shape)
+            if sizes[k, j] != NO_PAIR and (best is None or sizes[k, j] < best[0]):
+                best = (int(sizes[k, j]), i0 + int(k), int(j))
+        return best
+
+    # No closed form: enumeration, as for a handle (QuorumSystemHandle).
+    exact_route = enumeration_route
+    enumerate_kills = live_batch_kills
+
+    def live_batch(self, alive: np.ndarray) -> np.ndarray:
+        """Vectorised live predicate on a (T, n) boolean matrix, for any n."""
+        if alive.ndim != 2 or alive.shape[1] != self.n:
+            raise ParameterError(
+                f"alive matrix has shape {alive.shape}, system needs (T, {self.n})")
+        words = pack_rows(alive)
+        live = np.zeros(len(alive), dtype=bool)
+        block = max(1, BLOCK_WORDS // max(1, words.size))
+        for q0 in range(0, self.m, block):
+            q = self.quorum_words[q0:q0 + block, None, :]
+            # OR-ing row by row, not with any(axis=0), keeps a one-quorum
+            # block (T >= 2^16) at one pass over the rows.
+            for contained in ((words & q) == q).all(axis=2):
+                live |= contained
+        return live
+
+
+def compose_explicit(outer: ExplicitQuorumSystem, inner: ExplicitQuorumSystem,
+                     cap: int = DEFAULT_COMPOSE_CAP) -> ExplicitQuorumSystem:
+    """Enumerate the composition of ``outer`` over disjoint copies of ``inner``.
+
+    The composed universe has outer.n * inner.n elements, with copy i of the
+    inner universe occupying indices [i*inner.n, (i+1)*inner.n).  Quorums are
+    every union of one inner quorum per element of an outer quorum; duplicate
+    unions (possible only when outer quorums nest) are removed.
+    """
+    count = sum(inner.m ** len(q) for q in outer.quorums)
+    if count > cap:
+        raise SizeError(f"composition enumerates {count} quorums, exceeding the cap of {cap}")
+    composed = dict.fromkeys(
+        iter_composed_masks(outer.quorum_masks(), inner.quorum_masks(), inner.n))
+    return ExplicitQuorumSystem.from_masks(outer.n * inner.n, composed)
+
+
+def iter_composed_masks(outer_masks: Iterable[int], inner_masks: Sequence[int],
+                        n_inner: int) -> Iterator[int]:
+    """For each outer quorum in order, every union of one inner quorum per
+    member i, shifted into the block [i*n_inner, (i+1)*n_inner)."""
+    for s in outer_masks:
+        members = list(iter_bits(s))
+        for choice in product(inner_masks, repeat=len(members)):
+            mask = 0
+            for i, inner_mask in zip(members, choice):
+                mask |= inner_mask << (i * n_inner)
+            yield mask
+
+
+def compose_params(outer: SystemParams, inner: SystemParams) -> SystemParams:
+    """Parameter algebra of composition: n, c, i_min, a_min, and load multiply,
+    and b and f follow from them."""
+    return SystemParams(
+        n=outer.n * inner.n,
+        c=outer.c * inner.c,
+        i_min=outer.i_min * inner.i_min,
+        a_min=outer.a_min * inner.a_min,
+        load=outer.load * inner.load,
+    )
 
 
 def _uniform_subsets(gen: np.random.Generator, rows: int, k: int, ell: int) -> np.ndarray:
@@ -78,205 +203,21 @@ def _member_matrix(picks: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _require_int_fields(spec) -> None:
-    """Reject a spec whose fields are not all integers; a bool is rejected
-    too, so JSON true does not read as 1."""
-    for name, value in vars(spec).items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParameterError(
-                f"{type(spec).__name__}.{name} must be an integer, got {value!r}")
-
-
-def _require_count_bits(spec, bits: float) -> None:
-    """SizeError for a quorum count below 2^bits where bits passes the limit."""
-    if bits > COUNT_MAX_BITS:
-        raise SizeError(f"quorum count of {spec} needs about {bits:.0f} bits, "
-                        f"past the limit of {COUNT_MAX_BITS}")
-
-
-def _checked_comb(spec, k: int, j: int, power: int = 1) -> int:
-    """C(k, j)^power, refused first where its lgamma estimate passes the limit."""
+def _comb_bits(k: int, j: int) -> float:
+    """log2 C(k, j) at no cost for any k: from lgamma, but from the count
+    itself where it fits in 64 bits, so a power of two gives an integer."""
     lg = math.lgamma
-    _require_count_bits(spec, power * (lg(k + 1) - lg(j + 1) - lg(k - j + 1)) / math.log(2))
-    return math.comb(k, j) ** power
+    bits = (lg(k + 1) - lg(j + 1) - lg(k - j + 1)) / math.log(2)
+    return bits if bits > 64 else math.log2(math.comb(k, j))
 
 
-def _require_prime(q: int) -> None:
-    if not _is_prime(q):
-        raise UnsupportedOrderError(
-            f"projective-plane order {q} is not prime; only prime orders are supported")
-
-
-# ---------------------------------------------------------------------------
-# Construction specs (a tagged union with a canonical JSON encoding)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MGridSpec:
-    """Union-of-rows-and-columns quorums on a side x side grid, masking b faults."""
-
-    side: int
-    b: int
-
-    def __post_init__(self) -> None:
-        _require_int_fields(self)
-        if self.side < 2:
-            raise ParameterError(f"MGrid needs side >= 2, got {self.side}")
-        if self.b < 0:
-            raise ParameterError(f"MGrid needs b >= 0, got {self.b}")
-        if self.g > self.side:
-            raise ParameterError(
-                f"MGrid needs ceil(sqrt(b+1)) <= side, got g={self.g} > side={self.side}")
-        if 2 * self.b > self.side - 1:
-            raise ParameterError(
-                f"MGrid masking requires b <= (side-1)/2, got b={self.b}, side={self.side}")
-
-    @property
-    def g(self) -> int:
-        """Rows (and columns) per quorum: ceil(sqrt(b+1))."""
-        return ceil_sqrt(self.b + 1)
-
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """The ell-of-k threshold system.
-
-    Requires k > ell > k/2, except that the degenerate single-element block
-    (k = ell = 1) is accepted so the boosted-plane construction is defined at
-    b = 0.
-    """
-
-    k: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        _require_int_fields(self)
-        if self.k == 1 and self.ell == 1:
-            return
-        if not (self.k > self.ell > self.k / 2):
-            raise ParameterError(
-                f"threshold requires k > ell > k/2, got k={self.k}, ell={self.ell}")
-
-
-@dataclass(frozen=True)
-class RTSpec:
-    """The ell-of-k threshold recursively composed over itself to depth h."""
-
-    k: int
-    ell: int
-    h: int
-
-    def __post_init__(self) -> None:
-        _require_int_fields(self)
-        if not (self.k > self.ell > self.k / 2):
-            raise ParameterError(
-                f"recursive threshold requires k > ell > k/2, got k={self.k}, ell={self.ell}")
-        if not 1 <= self.h <= RT_MAX_DEPTH:
-            raise ParameterError(
-                f"recursive threshold needs depth 1 <= h <= {RT_MAX_DEPTH}, got {self.h}")
-
-
-@dataclass(frozen=True)
-class FPPSpec:
-    """Finite projective plane of prime order q (lines as quorums)."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        _require_int_fields(self)
-        _require_prime(self.q)
-
-
-@dataclass(frozen=True)
-class BoostFPPSpec:
-    """FPP(q) composed over the (3b+1)-of-(4b+1) threshold block."""
-
-    q: int
-    b: int
-
-    def __post_init__(self) -> None:
-        _require_int_fields(self)
-        _require_prime(self.q)
-        if self.b < 0:
-            raise ParameterError(f"BoostFPP needs b >= 0, got {self.b}")
-
-
-@dataclass(frozen=True)
-class MPathSpec:
-    """Disjoint crossing paths on the triangulated side x side grid."""
-
-    side: int
-    b: int
-
-    def __post_init__(self) -> None:
-        _require_int_fields(self)
-        if self.side < 2:
-            raise ParameterError(f"MPath needs side >= 2, got {self.side}")
-        if self.b < 0:
-            raise ParameterError(f"MPath needs b >= 0, got {self.b}")
-        if self.r > self.side:
-            raise ParameterError(
-                f"MPath needs ceil(sqrt(2b+1)) <= side, got r={self.r} > side={self.side}")
-        if self.side - self.r + 1 < self.b + 1:
-            raise ParameterError(
-                f"MPath masking requires side - r + 1 >= b + 1 "
-                f"(side={self.side}, r={self.r}, b={self.b})")
-
-    @property
-    def r(self) -> int:
-        """Crossing paths per orientation: ceil(sqrt(2b+1))."""
-        return ceil_sqrt(2 * self.b + 1)
-
-
-@dataclass(frozen=True)
-class ComposedSpec:
-    """Replace every element of the outer system by a copy of the inner one."""
-
-    outer: "ConstructionSpec"
-    inner: "ConstructionSpec"
-
-
-ConstructionSpec = Union[
-    MGridSpec, ThresholdSpec, RTSpec, FPPSpec, BoostFPPSpec, MPathSpec, ComposedSpec,
-]
-
-_SPEC_TAGS: dict[str, type] = {
-    "MGrid": MGridSpec,
-    "Threshold": ThresholdSpec,
-    "RT": RTSpec,
-    "FPP": FPPSpec,
-    "BoostFPP": BoostFPPSpec,
-    "MPath": MPathSpec,
-    "Composed": ComposedSpec,
-}
-_TAG_BY_TYPE = {cls: tag for tag, cls in _SPEC_TAGS.items()}
-
-
-def spec_to_json(spec: ConstructionSpec) -> dict:
-    """Canonical JSON encoding: {"Tag": {field: value, ...}}."""
-    tag = _TAG_BY_TYPE[type(spec)]
-    if isinstance(spec, ComposedSpec):
-        return {tag: {"outer": spec_to_json(spec.outer), "inner": spec_to_json(spec.inner)}}
-    return {tag: dict(spec.__dict__)}
-
-
-def spec_from_json(obj: dict) -> ConstructionSpec:
-    """Parse the canonical JSON encoding produced by spec_to_json."""
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ParameterError("construction spec must be a single-key object")
-    tag, fields = next(iter(obj.items()))
-    if tag not in _SPEC_TAGS:
-        raise ParameterError(f"unknown construction tag {tag!r}")
-    if not isinstance(fields, dict):
-        raise ParameterError(f"fields of {tag!r} must be an object")
-    cls = _SPEC_TAGS[tag]
-    try:
-        if cls is ComposedSpec:
-            fields = {name: spec_from_json(value) if name in ("outer", "inner") else value
-                      for name, value in fields.items()}
-        return cls(**fields)
-    except TypeError as exc:
-        raise ParameterError(f"bad fields for {tag!r}: {exc}") from exc
+def _checked_count_bits(handle: QuorumSystemHandle) -> float:
+    """The handle's _count_bits(), refused with SizeError past COUNT_MAX_BITS."""
+    bits = handle._count_bits()
+    if bits > COUNT_MAX_BITS:
+        raise SizeError(f"quorum count of {handle.spec} needs about {bits:.0f} bits, "
+                        f"past the limit of {COUNT_MAX_BITS}")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +251,13 @@ class QuorumSystemHandle:
     def _live_batch(self, alive: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # The closed forms and bounds live in availability, which imports this
-    # module, so the methods import them when called.
-    def exact_route(self) -> tuple[str, Callable[[float], float]]:
-        """(route, F): the exact crash probability F(p) and its route's name.
-
-        Enumeration by default, refused with SizeError past n = 25 before
-        anything is enumerated; a family with a closed form overrides it."""
-        from .availability import enumeration_route
-        return enumeration_route(self)
-
-    def enumerate_kills(self) -> Iterator[np.ndarray]:
-        """Kill counts by crash size (entry d counts the crash sets of size d
-        that kill the system), a chunk of the 2^n at a time:
-        availability.live_batch_kills unless a family enumerates faster."""
-        from .availability import live_batch_kills
-        return live_batch_kills(self)
+    # exact_route() gives (route, F), the exact crash probability F(p) and its
+    # route's name, and enumerate_kills() the kill counts by crash size, a
+    # chunk of the 2^n at a time.  Enumeration by default, refused past
+    # n = 25 before any work; a family with a closed form or a faster
+    # enumeration overrides them.
+    exact_route = enumeration_route
+    enumerate_kills = live_batch_kills
 
     def published_bounds(self, p: float, p_prime: float | None = None) -> dict:
         """Every published crash-probability bound at p, by name: p_mt, p_c2f
@@ -333,7 +265,6 @@ class QuorumSystemHandle:
         family bound whose precondition fails leaves its reason under
         "inapplicable"; entries before it stay.  p_prime is the reference
         probability of MPath's bound, by default midway between p and 1/3."""
-        from .availability import fp_lower_bounds
         lower = fp_lower_bounds(self.params, p)
         out = {"p_mt": lower.p_mt, "p_c2f": lower.p_c2f, "p_f": lower.p_f}
         try:
@@ -366,17 +297,25 @@ class QuorumSystemHandle:
         any work, where the count may pass COUNT_MAX_BITS bits."""
         raise NotImplementedError
 
+    def _count_bits(self) -> float:
+        """log2 quorum_count(), estimated without computing the count."""
+        raise NotImplementedError
+
     def iter_quorum_masks(self) -> Iterator[int]:
         raise NotImplementedError
 
     def materialize(self, max_quorums: int) -> ExplicitQuorumSystem:
-        """Enumerate every quorum explicitly (straight-path quorums for MPath)."""
+        """Enumerate every quorum explicitly (straight-path quorums for MPath).
+
+        A count whose estimate passes the cap by a bit is refused uncounted:
+        C(10^6, 750001), for one, has 811 267 bits and takes seconds."""
+        bits = _checked_count_bits(self)
+        if bits > max_quorums.bit_length() + 1:
+            raise SizeError(f"construction has an estimated {math.floor(bits) + 1}-bit count of "
+                            f"quorums, exceeding the cap of {max_quorums}")
         count = self.quorum_count()
         if count > max_quorums:
-            # Python refuses to print an int of more than 4300 digits.
-            size = count if count.bit_length() <= 64 else f"a {count.bit_length()}-bit count of"
-            raise SizeError(
-                f"construction has {size} quorums, exceeding the cap of {max_quorums}")
+            raise SizeError(f"construction has {count} quorums, exceeding the cap of {max_quorums}")
         return ExplicitQuorumSystem.from_masks(self.params.n, self.iter_quorum_masks())
 
     def __repr__(self) -> str:
@@ -408,7 +347,6 @@ class ThresholdHandle(QuorumSystemHandle):
         return count >= self.spec.ell
 
     def exact_route(self) -> tuple[str, Callable[[float], float]]:
-        from .availability import threshold_g
         k, ell = self.spec.k, self.spec.ell
         return "closed_form", lambda p: threshold_g(k, ell, p).exact
 
@@ -417,7 +355,11 @@ class ThresholdHandle(QuorumSystemHandle):
         return _member_matrix(_uniform_subsets(gen, count, k, self.spec.ell), k)
 
     def quorum_count(self) -> int:
-        return _checked_comb(self.spec, self.spec.k, self.spec.ell)
+        _checked_count_bits(self)
+        return math.comb(self.spec.k, self.spec.ell)
+
+    def _count_bits(self) -> float:
+        return _comb_bits(self.spec.k, self.spec.ell)
 
     def iter_quorum_masks(self) -> Iterator[int]:
         for subset in combinations(range(self.spec.k), self.spec.ell):
@@ -444,7 +386,11 @@ class _RowColumnHandle(QuorumSystemHandle):
         return (rows | cols).reshape(count, side * side)
 
     def quorum_count(self) -> int:
-        return _checked_comb(self.spec, self.spec.side, self.g, power=2)
+        _checked_count_bits(self)
+        return math.comb(self.spec.side, self.g) ** 2
+
+    def _count_bits(self) -> float:
+        return 2 * _comb_bits(self.spec.side, self.g)
 
     def iter_quorum_masks(self) -> Iterator[int]:
         side = self.spec.side
@@ -497,12 +443,10 @@ class MGridHandle(_RowColumnHandle):
         return (full_rows >= g) & (full_cols >= g)
 
     def exact_route(self) -> tuple[str, Callable[[float], float]]:
-        from .availability import mgrid_fp_exact
         side, b = self.spec.side, self.spec.b
         return "closed_form", lambda p: mgrid_fp_exact(side, b, p)
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
-        from .availability import mgrid_fp_lower
         yield "mgrid_fp_lower", mgrid_fp_lower(self.spec.side, p)
 
 
@@ -550,6 +494,9 @@ class FPPHandle(QuorumSystemHandle):
     def quorum_count(self) -> int:
         return self.params.n
 
+    def _count_bits(self) -> float:
+        return math.log2(self.params.n)
+
     def iter_quorum_masks(self) -> Iterator[int]:
         return iter(self._plane.quorum_masks())
 
@@ -588,10 +535,12 @@ class ComposedHandle(QuorumSystemHandle):
 
     def quorum_count(self) -> int:
         # Every quorum of every handle has exactly params.c members, so the
-        # count is m_outer * m_inner^c < 2^(bits(m_outer) + c ceil(log2 m_inner)).
-        outer, inner, c = self.outer.quorum_count(), self.inner.quorum_count(), self.outer.params.c
-        _require_count_bits(self.spec, outer.bit_length() + c * (inner - 1).bit_length())
-        return outer * inner ** c
+        # count is m_outer * m_inner^c.
+        _checked_count_bits(self)
+        return self.outer.quorum_count() * self.inner.quorum_count() ** self.outer.params.c
+
+    def _count_bits(self) -> float:
+        return self.outer._count_bits() + self.outer.params.c * self.inner._count_bits()
 
     def iter_quorum_masks(self) -> Iterator[int]:
         return iter_composed_masks(self.outer.iter_quorum_masks(),
@@ -611,7 +560,6 @@ class BoostFPPHandle(ComposedHandle):
         self.spec = spec
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
-        from .availability import boostfpp_fp_upper
         bound = boostfpp_fp_upper(self.spec.q, self.spec.b, p)
         yield "boostfpp_fp_upper", bound.paper_form
         yield "boostfpp_fp_upper_chernoff", bound.chernoff_form
@@ -630,7 +578,6 @@ class RTHandle(ComposedHandle):
         self.spec = spec
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
-        from .availability import rt_critical_probability, rt_fp_upper
         k, ell = self.spec.k, self.spec.ell
         yield "rt_fp_upper", rt_fp_upper(k, ell, self.spec.h, p)
         yield "rt_critical_probability", rt_critical_probability(k, ell).value
@@ -681,7 +628,6 @@ class MPathHandle(_RowColumnHandle):
         # complement at |A|, and the sets whose last cell is dead cover all
         # 2^n with their complements.  No such identity holds at r >= 2, so
         # there every set is filled.
-        from .availability import mask_chunks
         n, r = self.n, self.g
         half = r == 1
         for alive in mask_chunks(n - 1 if half else n):
@@ -692,7 +638,6 @@ class MPathHandle(_RowColumnHandle):
                 yield np.bincount(size[counts.any(axis=1)], minlength=n + 1)
 
     def _family_bounds(self, p: float, p_prime: float | None) -> Iterator[tuple[str, float]]:
-        from .availability import mpath_fp_upper
         p_prime = (p + 1.0 / 3.0) / 2.0 if p_prime is None else p_prime
         yield "p_prime", p_prime
         yield "mpath_fp_upper", mpath_fp_upper(self.spec.side, self.spec.b, p, p_prime)
@@ -710,8 +655,13 @@ _HANDLE_BY_SPEC: dict[type, type[QuorumSystemHandle]] = {
 
 
 def build(spec: ConstructionSpec) -> QuorumSystemHandle:
-    """Build a handle for any construction spec."""
+    """Build a handle for any construction spec.  A universe past a double's
+    range is refused: the bounds raise doubles to powers up to n."""
     handle_class = _HANDLE_BY_SPEC.get(type(spec))
     if handle_class is None:
         raise ParameterError(f"unknown construction spec {spec!r}")
-    return handle_class(spec)
+    handle = handle_class(spec)
+    if handle.n > sys.float_info.max:
+        raise SizeError(f"{spec} has a universe of about 10^{math.log10(handle.n):.0f} "
+                        "servers, past a double's range")
+    return handle

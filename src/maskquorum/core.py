@@ -1,34 +1,62 @@
-"""Universes, element sets, explicit quorum systems, and reproducible randomness.
+"""Universes, element sets, construction specs, and reproducible randomness.
 
 A universe is the integer range 0..n-1 (n servers).  ElementSet is an immutable
-subset of a universe backed by an integer bitmap; ExplicitQuorumSystem is the
-oracle-friendly representation of a quorum system as an explicit quorum list.
-Rng provides counter-based randomness so that Monte Carlo trial t is a pure
-function of (seed, t) no matter how trials are chunked or parallelised.
+subset of a universe backed by an integer bitmap.  The construction specs are
+validated value types with a canonical JSON encoding; constructions builds a
+handle from each.  Rng provides counter-based randomness so that Monte Carlo
+trial t is a pure function of (seed, t) no matter how trials are chunked or
+parallelised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from ._bitops import (
-    BLOCK_WORDS, NO_PAIR, bools_to_int, iter_bits, pack_ints, pack_rows, pair_intersections,
-)
-from .errors import ParameterError
+from ._bitops import bools_to_int, ceil_sqrt, iter_bits
+from .errors import ParameterError, UnsupportedOrderError
 
 __all__ = [
-    "ElementSet",
-    "ExplicitQuorumSystem",
-    "AccessStrategy",
-    "SystemParams",
-    "Rng",
-    "sample_crash_set",
+    "ElementSet", "AccessStrategy", "SystemParams",
+    "MGridSpec", "ThresholdSpec", "RTSpec", "FPPSpec", "BoostFPPSpec",
+    "MPathSpec", "ComposedSpec", "ConstructionSpec", "spec_to_json", "spec_from_json",
+    "Rng", "sample_crash_set",
 ]
+
+# Deepest recursive threshold: RT(k, ell, h) nests h composed handles, a few
+# Python frames each, which must fit in the interpreter's recursion limit.
+RT_MAX_DEPTH = 200
+
+
+def _is_prime(q: int) -> bool:
+    if q < 2:
+        return False
+    if q % 2 == 0:
+        return q == 2
+    d = 3
+    while d * d <= q:
+        if q % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _require_int_fields(spec) -> None:
+    """Reject a spec whose fields are not all integers; a bool is rejected
+    too, so JSON true does not read as 1."""
+    for name, value in vars(spec).items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterError(
+                f"{type(spec).__name__}.{name} must be an integer, got {value!r}")
+
+
+def _require_prime(q: int) -> None:
+    if not _is_prime(q):
+        raise UnsupportedOrderError(
+            f"projective-plane order {q} is not prime; only prime orders are supported")
 
 
 @dataclass(frozen=True)
@@ -105,97 +133,6 @@ class ElementSet:
         return f"ElementSet(n={self.n}, {{{', '.join(map(str, self.members()))}}})"
 
 
-@dataclass(frozen=True)
-class ExplicitQuorumSystem:
-    """A quorum system given by an explicit, ordered list of quorums.
-
-    Construction rejects an empty list, empty quorums, universe mismatches,
-    and duplicate quorums.  Pairwise intersection is *not* enforced here, so
-    that analysis.check_masking can report a disjoint pair on any input.
-    """
-
-    n: int
-    quorums: tuple[ElementSet, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"universe size must be >= 1, got {self.n}")
-        object.__setattr__(self, "quorums", tuple(self.quorums))
-        if not self.quorums:
-            raise ParameterError("empty quorum system")
-        seen: set[int] = set()
-        for idx, q in enumerate(self.quorums):
-            if not isinstance(q, ElementSet):
-                raise ParameterError(f"quorum {idx} is not an ElementSet")
-            if q.n != self.n:
-                raise ParameterError(f"quorum {idx} lives in a different universe")
-            if q.mask == 0:
-                raise ParameterError(f"quorum {idx} is empty")
-            if q.mask in seen:
-                raise ParameterError(f"duplicate quorum at index {idx}")
-            seen.add(q.mask)
-
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "ExplicitQuorumSystem":
-        return cls(n, tuple(ElementSet(n, m) for m in masks))
-
-    @property
-    def m(self) -> int:
-        return len(self.quorums)
-
-    def quorum_masks(self) -> list[int]:
-        return [q.mask for q in self.quorums]
-
-    @cached_property
-    def quorum_words(self) -> np.ndarray:
-        """The quorum list as a read-only (m, W) packed word matrix (pack_rows
-        layout), built once per system."""
-        words = pack_ints(self.quorum_masks(), self.n)
-        words.setflags(write=False)
-        return words
-
-    @cached_property
-    def smallest_pair(self) -> tuple[int, int, int] | None:
-        """(size, i, j) of a smallest intersection over quorum pairs i < j, the
-        first such pair in (i, j) order; None for a single-quorum system.
-
-        One pairwise-intersection pass per system, shared by
-        combinatorial_params and check_masking."""
-        best = None
-        for i0, sizes in pair_intersections(self.quorum_words):
-            k, j = np.unravel_index(np.argmin(sizes), sizes.shape)
-            if sizes[k, j] != NO_PAIR and (best is None or sizes[k, j] < best[0]):
-                best = (int(sizes[k, j]), i0 + int(k), int(j))
-        return best
-
-    def exact_route(self) -> tuple[str, Callable[[float], float]]:
-        """An explicit system has no closed form: availability.enumeration_route."""
-        from .availability import enumeration_route
-        return enumeration_route(self)
-
-    def enumerate_kills(self) -> Iterator[np.ndarray]:
-        """Kill counts by crash size, a chunk of the 2^n at a time:
-        availability.live_batch_kills, as for a handle."""
-        from .availability import live_batch_kills
-        return live_batch_kills(self)
-
-    def live_batch(self, alive: np.ndarray) -> np.ndarray:
-        """Vectorised live predicate on a (T, n) boolean matrix, for any n."""
-        if alive.ndim != 2 or alive.shape[1] != self.n:
-            raise ParameterError(
-                f"alive matrix has shape {alive.shape}, system needs (T, {self.n})")
-        words = pack_rows(alive)
-        live = np.zeros(len(alive), dtype=bool)
-        block = max(1, BLOCK_WORDS // max(1, words.size))
-        for q0 in range(0, self.m, block):
-            q = self.quorum_words[q0:q0 + block, None, :]
-            # OR-ing row by row, not with any(axis=0), keeps a one-quorum
-            # block (T >= 2^16) at one pass over the rows.
-            for contained in ((words & q) == q).all(axis=2):
-                live |= contained
-        return live
-
-
 class AccessStrategy:
     """A probability distribution over the quorums of an explicit system."""
 
@@ -266,6 +203,178 @@ class SystemParams:
             raise ParameterError(
                 f"b={d['b']}, f={d['f']} contradict the derived b={params.b}, f={params.f}")
         return params
+
+
+# ---------------------------------------------------------------------------
+# Construction specs (a tagged union with a canonical JSON encoding)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MGridSpec:
+    """Union-of-rows-and-columns quorums on a side x side grid, masking b faults."""
+
+    side: int
+    b: int
+
+    def __post_init__(self) -> None:
+        _require_int_fields(self)
+        if self.side < 2:
+            raise ParameterError(f"MGrid needs side >= 2, got {self.side}")
+        if self.b < 0:
+            raise ParameterError(f"MGrid needs b >= 0, got {self.b}")
+        if self.g > self.side:
+            raise ParameterError(
+                f"MGrid needs ceil(sqrt(b+1)) <= side, got g={self.g} > side={self.side}")
+        if 2 * self.b > self.side - 1:
+            raise ParameterError(
+                f"MGrid masking requires b <= (side-1)/2, got b={self.b}, side={self.side}")
+
+    @property
+    def g(self) -> int:
+        """Rows (and columns) per quorum: ceil(sqrt(b+1))."""
+        return ceil_sqrt(self.b + 1)
+
+
+@dataclass(frozen=True)
+class ThresholdSpec:
+    """The ell-of-k threshold system.
+
+    Requires k > ell > k/2, except that the degenerate single-element block
+    (k = ell = 1) is accepted so the boosted-plane construction is defined at
+    b = 0.
+    """
+
+    k: int
+    ell: int
+
+    def __post_init__(self) -> None:
+        _require_int_fields(self)
+        if self.k == 1 and self.ell == 1:
+            return
+        if not (self.k > self.ell and 2 * self.ell > self.k):
+            raise ParameterError(
+                f"threshold requires k > ell > k/2, got k={self.k}, ell={self.ell}")
+
+
+@dataclass(frozen=True)
+class RTSpec:
+    """The ell-of-k threshold recursively composed over itself to depth h."""
+
+    k: int
+    ell: int
+    h: int
+
+    def __post_init__(self) -> None:
+        _require_int_fields(self)
+        if not (self.k > self.ell and 2 * self.ell > self.k):
+            raise ParameterError(
+                f"recursive threshold requires k > ell > k/2, got k={self.k}, ell={self.ell}")
+        if not 1 <= self.h <= RT_MAX_DEPTH:
+            raise ParameterError(
+                f"recursive threshold needs depth 1 <= h <= {RT_MAX_DEPTH}, got {self.h}")
+
+
+@dataclass(frozen=True)
+class FPPSpec:
+    """Finite projective plane of prime order q (lines as quorums)."""
+
+    q: int
+
+    def __post_init__(self) -> None:
+        _require_int_fields(self)
+        _require_prime(self.q)
+
+
+@dataclass(frozen=True)
+class BoostFPPSpec:
+    """FPP(q) composed over the (3b+1)-of-(4b+1) threshold block."""
+
+    q: int
+    b: int
+
+    def __post_init__(self) -> None:
+        _require_int_fields(self)
+        _require_prime(self.q)
+        if self.b < 0:
+            raise ParameterError(f"BoostFPP needs b >= 0, got {self.b}")
+
+
+@dataclass(frozen=True)
+class MPathSpec:
+    """Disjoint crossing paths on the triangulated side x side grid."""
+
+    side: int
+    b: int
+
+    def __post_init__(self) -> None:
+        _require_int_fields(self)
+        if self.side < 2:
+            raise ParameterError(f"MPath needs side >= 2, got {self.side}")
+        if self.b < 0:
+            raise ParameterError(f"MPath needs b >= 0, got {self.b}")
+        if self.r > self.side:
+            raise ParameterError(
+                f"MPath needs ceil(sqrt(2b+1)) <= side, got r={self.r} > side={self.side}")
+        if self.side - self.r + 1 < self.b + 1:
+            raise ParameterError(
+                f"MPath masking requires side - r + 1 >= b + 1 "
+                f"(side={self.side}, r={self.r}, b={self.b})")
+
+    @property
+    def r(self) -> int:
+        """Crossing paths per orientation: ceil(sqrt(2b+1))."""
+        return ceil_sqrt(2 * self.b + 1)
+
+
+@dataclass(frozen=True)
+class ComposedSpec:
+    """Replace every element of the outer system by a copy of the inner one."""
+
+    outer: "ConstructionSpec"
+    inner: "ConstructionSpec"
+
+
+ConstructionSpec = Union[
+    MGridSpec, ThresholdSpec, RTSpec, FPPSpec, BoostFPPSpec, MPathSpec, ComposedSpec,
+]
+
+_SPEC_TAGS: dict[str, type] = {
+    "MGrid": MGridSpec,
+    "Threshold": ThresholdSpec,
+    "RT": RTSpec,
+    "FPP": FPPSpec,
+    "BoostFPP": BoostFPPSpec,
+    "MPath": MPathSpec,
+    "Composed": ComposedSpec,
+}
+_TAG_BY_TYPE = {cls: tag for tag, cls in _SPEC_TAGS.items()}
+
+
+def spec_to_json(spec: ConstructionSpec) -> dict:
+    """Canonical JSON encoding: {"Tag": {field: value, ...}}."""
+    tag = _TAG_BY_TYPE[type(spec)]
+    if isinstance(spec, ComposedSpec):
+        return {tag: {"outer": spec_to_json(spec.outer), "inner": spec_to_json(spec.inner)}}
+    return {tag: dict(spec.__dict__)}
+
+
+def spec_from_json(obj: dict) -> ConstructionSpec:
+    """Parse the canonical JSON encoding produced by spec_to_json."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ParameterError("construction spec must be a single-key object")
+    tag, fields = next(iter(obj.items()))
+    if tag not in _SPEC_TAGS:
+        raise ParameterError(f"unknown construction tag {tag!r}")
+    if not isinstance(fields, dict):
+        raise ParameterError(f"fields of {tag!r} must be an object")
+    cls = _SPEC_TAGS[tag]
+    try:
+        if cls is ComposedSpec:
+            fields = {name: spec_from_json(value) if name in ("outer", "inner") else value
+                      for name, value in fields.items()}
+        return cls(**fields)
+    except TypeError as exc:
+        raise ParameterError(f"bad fields for {tag!r}: {exc}") from exc
 
 
 _MASK64 = (1 << 64) - 1

@@ -62,6 +62,29 @@ class TestParams:
         assert code == 0
         assert json.loads(out)["estimate"]["value"] == mq.rt_fp_recurrence(3, 2, 200, 0.1)
 
+    @pytest.mark.parametrize("spec, message", [
+        # RT(10^30, 10^30 - 1, h) has 10^(30 h) servers: its depth-11 part
+        # already passes a double's range, and the whole has too many digits
+        # to print.
+        (f'{{"RT": {{"k": {10 ** 30}, "ell": {10 ** 30 - 1}, "h": 200}}}}',
+         "h=11) has a universe of about 10^330 servers"),
+        (f'{{"Threshold": {{"k": {10 ** 400}, "ell": {10 ** 400 - 1}}}}}',
+         "has a universe of about 10^400 servers"),
+    ], ids=["RT(10^30,10^30-1,200)", "Threshold(10^400)"])
+    @pytest.mark.parametrize("command", ["params", "load"])
+    def test_universe_past_a_double_exits_3(self, capsys, command, spec, message):
+        code, out, err = run_cli(capsys, command, spec)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_rt_4_3_200_prints_in_full(self, capsys):
+        code, out, _ = run_cli(capsys, "params", '{"RT": {"k": 4, "ell": 3, "h": 200}}')
+        assert code == 0
+        assert json.loads(out) == mq.build(mq.RTSpec(4, 3, 200)).params.to_dict()
+        assert json.loads(out)["n"] == 4 ** 200
+
     def test_reads_spec_from_file(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text('{"MGrid": {"side": 7, "b": 3}}')
@@ -77,6 +100,15 @@ class TestParams:
     def test_garbage_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "params", "not json at all")
         assert code == 2
+
+    def test_integer_too_long_to_parse_exits_2(self, capsys):
+        # json.loads refuses an integer of more than 4300 digits with a
+        # ValueError that is not a JSONDecodeError.
+        code, out, err = run_cli(capsys, "params",
+                                 f'{{"Threshold": {{"k": {"9" * 5000}, "ell": 2}}}}')
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: spec is neither") and err.count("\n") == 1
 
 
 class TestLoad:

@@ -546,6 +546,23 @@ class TestMaterialize:
             with pytest.raises(SizeError, match="past the limit"):
                 build(spec).quorum_count()
 
+    def test_refuses_from_the_estimate_before_counting(self, monkeypatch):
+        # C(10^6, 750001) has 811 267 bits, within quorum_count's limit but
+        # far past a cap of 10^4: materialize refuses it from the estimate,
+        # without asking math.comb for a count wider than the cap needs.
+        comb, cap = math.comb, 10 ** 4
+
+        def narrow_comb(k, j):
+            lg = math.lgamma
+            bits = (lg(k + 1) - lg(j + 1) - lg(k - j + 1)) / math.log(2)
+            assert bits <= cap.bit_length() + 1, f"math.comb({k}, {j}) has about {bits:.0f} bits"
+            return comb(k, j)
+
+        monkeypatch.setattr(math, "comb", narrow_comb)
+        with pytest.raises(SizeError, match="811267-bit count of quorums, exceeding the cap"):
+            build(mq.ThresholdSpec(10 ** 6, 750001)).materialize(cap)
+        assert build(mq.ThresholdSpec(15, 8)).materialize(cap).m == comb(15, 8)
+
     def test_cap_error_reports_exact_count(self):
         with pytest.raises(SizeError, match="36"):
             build(mq.MGridSpec(4, 1)).materialize(35)
