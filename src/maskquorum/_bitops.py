@@ -53,6 +53,17 @@ def pack_ints(masks: list[int], n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).reshape(len(masks), words)
 
 
+def and_counts(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (len(rows), len(cols)) int32 matrix of popcount(rows[i] & cols[j])
+    over two packed word matrices of one width W.
+
+    At W = 1 there is no word axis to sum; above it the uint8 counts sum
+    straight into int32, at a fraction of the cost of a sum into int64."""
+    if rows.shape[1] == 1:
+        return np.bitwise_count(rows & cols.T).astype(np.int32)
+    return np.bitwise_count(rows[:, None, :] & cols[None]).sum(axis=2, dtype=np.int32)
+
+
 def pair_intersections(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Intersection sizes of every pair of distinct rows of a packed word matrix.
 
@@ -68,7 +79,7 @@ def pair_intersections(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     cols = np.arange(m)
     for i0 in range(0, m, block):
         rows = words[i0:i0 + block]
-        sizes = np.bitwise_count(rows[:, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int32)
+        sizes = and_counts(rows, words)
         sizes[cols[None, :] <= cols[i0:i0 + len(rows), None]] = NO_PAIR
         yield i0, sizes
 

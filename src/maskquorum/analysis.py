@@ -13,9 +13,12 @@ is the intersection check.  The smallest transversal is a branch and bound
 (``_search_transversal``) on blocks of nodes whose unhit quorums are packed
 words, run once per system object for combinatorial_params, masking_level
 and check_masking's resilience half, and logged at DEBUG on the
-"maskquorum" logger.  Fairness, the load LP and induced loads take the
-incidence matrix from ``unpack_masks`` of the same words; a fair system's
-load is is_fair(sys).s / sys.n.
+"maskquorum" logger.  Where it branches it breaks the symmetry of twins,
+elements whose swap maps the quorum list onto itself (``_twin_leaders``),
+by the lex-leader rule, so a threshold block of a composition is searched
+once, not once per arrangement of its elements.  Fairness, the load LP and
+induced loads take the incidence matrix from ``unpack_masks`` of the same
+words; a fair system's load is is_fair(sys).s / sys.n.
 
 Only ``load_lp`` needs scipy (``scipy.optimize.milp``, reached only through
 the CLI's ``load``), and it imports it when called, so importing
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bitops import bools_to_int, pack_rows, unpack_masks
+from ._bitops import and_counts, bools_to_int, pack_rows, unpack_masks
 from .constructions import ExplicitQuorumSystem
 from .core import AccessStrategy, ElementSet
 from .errors import NumericalError, ParameterError, SizeError
@@ -92,6 +95,94 @@ class _Nodes(NamedTuple):
         return _Nodes(*(a[rows] for a in self))
 
 
+class _Twins(NamedTuple):
+    """The twin classes of a system, in the layout the ban closure reads."""
+    order: np.ndarray   # (n,) the elements by class, then by index
+    offset: np.ndarray  # (n,) per position of order: (n - its class's first element) * n
+
+    def earliest(self, rank: np.ndarray) -> np.ndarray:
+        """Per row of an (F, n) rank matrix below n, the least rank over each
+        element and the earlier members of its class.  The offsets fall from
+        class to class along ``order`` by more than any rank, so one running
+        minimum never reaches into an earlier class."""
+        out = np.empty_like(rank)
+        out[:, self.order] = (np.minimum.accumulate(rank[:, self.order] + self.offset, axis=1)
+                              - self.offset)
+        return out
+
+
+def _twin_leaders(members: np.ndarray, quorum_words: np.ndarray) -> np.ndarray:
+    """The smallest twin of each element, or the element itself if it has none.
+
+    Elements e and f are twins when swapping them maps the quorum list onto
+    itself; twins form classes.  Twins have one degree and meet every third
+    element equally often, so the candidates are the pairs whose rows of
+    co-occurrence counts agree off the pair, each row compared by one
+    weighted sum in wrapping uint64 arithmetic: agreeing rows always tie,
+    others rarely do, as the weights (g + 1) * 2^64 / phi mod 2^64 are
+    distinct and spread.  Each candidate f is then checked exactly
+    against its smallest candidate e (``_swap_fixes``).  That e is f's
+    smallest twin if the check passes, since the smallest twin is itself a
+    candidate; if it fails, f moves on to its next candidate.  So a class of
+    k members takes k - 1 checks, up to a block of checks at a time.
+    """
+    n = members.shape[1]
+    co, rows = np.zeros((n, n)), max(1, SEARCH_WORDS // n)
+    for q0 in range(0, len(members), rows):  # exact: the counts stay below 2^53
+        part = members[q0:q0 + rows].astype(np.float64)
+        co += part.T @ part
+    co = co.astype(np.uint64)
+    degree = co.diagonal().copy()
+    np.fill_diagonal(co, 0)
+    weight = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    off_pair = (co @ weight)[:, None] - co * weight  # [e, f]: row e's sum off e and f
+    leader = np.arange(n)
+    candidate = (off_pair == off_pair.T) & (degree[:, None] == degree) & (leader[:, None] < leader)
+    pending = candidate.any(axis=0)
+    keys = np.sort(_row_keys(quorum_words)) if pending.any() else None
+    checks = max(1, SEARCH_WORDS // quorum_words.size)
+    while pending.any():
+        f = np.flatnonzero(pending)[:checks]
+        e = np.argmax(candidate[:, f], axis=0)
+        twin = _swap_fixes(members, quorum_words, keys, e, f)
+        leader[f[twin]] = e[twin]
+        candidate[e, f] = False
+        pending[f] = ~twin & candidate[:, f].any(axis=0)
+    return leader
+
+
+def _swap_fixes(members: np.ndarray, quorum_words: np.ndarray, keys: np.ndarray,
+                e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """For each i, whether swapping elements e[i] and f[i] maps the quorum
+    list onto itself: every quorum holding exactly one of them, with the two
+    bits swapped, is among the sorted quorum ``keys`` (``_row_keys``)."""
+    pair, q = np.nonzero((members[:, e] != members[:, f]).T)
+    swap = np.zeros((len(e), members.shape[1]), dtype=bool)
+    swap[np.arange(len(e)), e] = swap[np.arange(len(e)), f] = True
+    images = _row_keys(quorum_words[q] ^ pack_rows(swap)[pair])
+    at = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+    return np.bincount(pair[keys[at] != images], minlength=len(e)) == 0
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """Each row of a packed word matrix as one value, for sorting and looking
+    rows up by equality: the word itself at W = 1 (a numeric search is some
+    five times faster), else the row's bytes."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    words = np.ascontiguousarray(words)
+    return words.view(np.dtype((np.void, words.shape[1] * words.itemsize)))[:, 0]
+
+
+def _twin_summary(leader: np.ndarray | None) -> str:
+    """The classes of two or more twins as count x size, for the search log."""
+    if leader is None:
+        return "unsearched"
+    sizes = np.bincount(leader)
+    size, count = np.unique(sizes[sizes > 1], return_counts=True)
+    return "+".join(f"{c}x{s}" for s, c in zip(size, count)) or "none"
+
+
 def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     """Branch and bound for the smallest set of elements meeting every quorum.
 
@@ -102,6 +193,10 @@ def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     left, and pruned when depth + ceil(left / top gain) cannot beat the
     incumbent; the rest branch (``_children``).  A better cover prunes the
     stack by the stored bounds.
+
+    Where the search first branches it finds the system's twin classes
+    (``_twin_leaders``), and the children break their symmetry; a search
+    that never branches skips that work.
 
     The block is capped so that its popcount temporaries stay under
     SEARCH_WORDS words and the children it pushes under SEARCH_CHILD_WORDS,
@@ -119,7 +214,7 @@ def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     # ties) until every quorum is hit.
     witness, unhit = np.zeros(n, dtype=bool), root.unhit[0]
     while unhit.any():
-        e = int(np.argmax(np.bitwise_count(elem_words & unhit).sum(axis=1)))
+        e = int(np.argmax(and_counts(elem_words, unhit[None])))
         witness[e] = True
         unhit = unhit & ~elem_words[e]
     best = int(witness.sum())
@@ -130,6 +225,7 @@ def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
     block = max(1, min(SEARCH_NODES, SEARCH_CHILD_WORDS // children_per_node,
                        SEARCH_WORDS // max(elem_words.size, sys.quorum_words.size)))
     stack, visited = [root], 0
+    leader, twins, detect = None, None, 0.0
     while stack:
         nodes = stack.pop()
         if not len(nodes.bound):
@@ -138,8 +234,7 @@ def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
         nodes = nodes.take(slice(block))
         visited += len(nodes.bound)
         depth = nodes.chosen.sum(axis=1)
-        gains = np.bitwise_count(nodes.unhit[:, None, :] & elem_words[None])
-        gains = gains.sum(axis=2, dtype=np.int64)
+        gains = and_counts(nodes.unhit, elem_words)
         gains[nodes.banned] = 0
         left = np.bitwise_count(nodes.unhit).sum(axis=1, dtype=np.int64)
         top = gains.max(axis=1)
@@ -153,40 +248,59 @@ def _search_transversal(sys: ExplicitQuorumSystem) -> tuple[int, int]:
         # Branch where an unhit quorum has an allowed element and the bound
         # can beat the incumbent.
         go = (top > 0) & (top < left) & (depth - (-left // np.maximum(top, 1)) < best)
+        if not go.any():
+            continue
+        if leader is None:
+            clock = time.perf_counter()
+            leader = _twin_leaders(members, sys.quorum_words)
+            if (leader != np.arange(n)).any():
+                order = np.argsort(leader, kind="stable")
+                twins = _Twins(order, (n - leader[order]) * n)
+            detect = time.perf_counter() - clock
         stack.append(_children(sys.quorum_words, members, elem_words, nodes.take(go),
-                               depth[go], gains[go], left[go], top[go], best))
-    logging.getLogger("maskquorum").debug(
-        "transversal search: n=%d m=%d nodes=%d size=%d elapsed=%.3f ms",
-        n, m, visited, best, 1e3 * (time.perf_counter() - start))
+                               depth[go], gains[go], left[go], top[go], best, twins))
+    log = logging.getLogger("maskquorum")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("transversal search: n=%d m=%d nodes=%d size=%d twins=%s "
+                  "detect=%.3f ms elapsed=%.3f ms", n, m, visited, best,
+                  _twin_summary(leader), 1e3 * detect, 1e3 * (time.perf_counter() - start))
     return best, bools_to_int(witness)
 
 
 def _children(quorum_words: np.ndarray, members: np.ndarray, elem_words: np.ndarray,
               nodes: _Nodes, depth: np.ndarray, gains: np.ndarray, left: np.ndarray,
-              top: np.ndarray, best: int) -> _Nodes:
+              top: np.ndarray, best: int, twins: _Twins | None) -> _Nodes:
     """The children of each node whose bound can beat ``best``.
 
     A node branches on its unhit quorum with the fewest allowed elements,
     taking them by decreasing gain (stable sort); the child taking the
     element of rank r bans those of rank < r, so each hitting set is reached
     in one order.  A quorum whose elements are all banned has no children.
+
+    With twins, the lex-leader rule (Crawford et al., KR 1996) also holds:
+    some minimum transversal meets each twin class in a prefix of its index
+    order, since swapping twins maps transversals to transversals.  So a ban
+    extends to every later member of the element's class, and a child whose
+    element has a banned earlier class member is dropped.
     """
     n = members.shape[1]
-    allowed = np.bitwise_count(quorum_words[None] & ~pack_rows(nodes.banned)[:, None])
-    allowed = allowed.sum(axis=2)
+    allowed = and_counts(~pack_rows(nodes.banned), quorum_words)
     is_unhit = np.unpackbits(nodes.unhit.view(np.uint8), axis=1, count=len(members),
                              bitorder="little")
     q = np.argmin(np.where(is_unhit, allowed, n + 1), axis=1)
     candidates = members[q] & ~nodes.banned
     order = np.argsort(np.where(candidates, -gains, 1), axis=1, kind="stable")
     rank_of = np.argsort(order, axis=1, kind="stable").astype(np.min_scalar_type(n))
+    # The rank from which each element is banned: its own, or with twins the
+    # least over it and its earlier class members.
+    banned_from = rank_of if twins is None else twins.earliest(rank_of)
     parent, rank = np.nonzero(np.arange(n) < candidates.sum(axis=1)[:, None])
     e = order[parent, rank]
     bound = depth[parent] + 1 - (-(left[parent] - gains[parent, e]) // top[parent])
-    keep = bound < best
+    keep = (bound < best) & (banned_from[parent, e] == rank)
     parent, rank, e = parent[keep], rank[keep].astype(rank_of.dtype), e[keep]
     return _Nodes(nodes.unhit[parent] & ~elem_words[e],
-                  nodes.banned[parent] | (rank_of[parent] < rank[:, None]),
+                  nodes.banned[parent] | (banned_from[parent] < rank[:, None]),
                   nodes.chosen[parent] | (np.arange(n) == e[:, None]),
                   bound[keep])
 

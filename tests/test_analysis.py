@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import maskquorum as mq
 from maskquorum import ExplicitQuorumSystem, analysis, build
+from maskquorum._bitops import unpack_masks
 from maskquorum.errors import ParameterError, SizeError
 
 from oracles import brute_resilience, greedy_cover_size
@@ -28,6 +29,21 @@ def wide_systems(draw):
     m = min(draw(st.integers(1, 100)), (1 << n) - 1)
     masks = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=m, max_size=m))
     return ExplicitQuorumSystem.from_masks(n, sorted(masks))
+
+
+@st.composite
+def planted_twins(draw):
+    """A random system composed over the ell-of-k threshold (every ell-subset
+    of k): each of its elements becomes a block of k interchangeable twins
+    (up to 12 elements in all)."""
+    k = draw(st.integers(1, 4))
+    ell = draw(st.integers(1, k))
+    n = draw(st.integers(1, 12 // k))
+    masks = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
+    outer = ExplicitQuorumSystem.from_masks(n, sorted(masks))
+    inner = ExplicitQuorumSystem.from_masks(
+        k, [sum(1 << i for i in c) for c in itertools.combinations(range(k), ell)])
+    return mq.compose_explicit(outer, inner)
 
 
 # A random system with a masking level b from 0 to n + 2.
@@ -176,6 +192,71 @@ def _searched(system, caplog):
     return size, witness, int(re.search(r"nodes=(\d+)", record.getMessage())[1])
 
 
+def _twin_classes(system):
+    """The twin classes that the search finds, as sorted lists of elements."""
+    leader = analysis._twin_leaders(unpack_masks(system.quorum_words, system.n),
+                                    system.quorum_words)
+    classes = {}
+    for e, first in enumerate(leader.tolist()):
+        classes.setdefault(first, []).append(e)
+    return sorted(classes.values())
+
+
+def _brute_twin_classes(system):
+    """Twin classes straight from the definition: e and f are twins when
+    swapping them maps the set of quorums onto itself."""
+    masks = set(system.quorum_masks())
+
+    def swapped(q, e, f):
+        if (q >> e & 1) == (q >> f & 1):
+            return q
+        return q ^ (1 << e | 1 << f)
+
+    classes = []
+    for e in range(system.n):
+        for c in classes:
+            if {swapped(q, c[0], e) for q in masks} == masks:
+                c.append(e)
+                break
+        else:
+            classes.append([e])
+    return classes
+
+
+class TestTwins:
+    @given(random_systems)
+    def test_matches_the_definition(self, system):
+        assert _twin_classes(system) == _brute_twin_classes(system)
+
+    @given(planted_twins())
+    def test_planted_twins_match_the_definition(self, system):
+        assert _twin_classes(system) == _brute_twin_classes(system)
+
+    @pytest.mark.parametrize("spec", [mq.ThresholdSpec(10, 6), mq.ThresholdSpec(13, 7),
+                                      mq.ThresholdSpec(70, 69)])
+    def test_threshold_is_one_class(self, spec):
+        system = build(spec).materialize(10 ** 4)
+        assert _twin_classes(system) == [list(range(spec.k))]
+
+    def test_boostfpp_blocks_are_the_classes(self):
+        # FPP(2) over Threshold(5, 4): each block of 5 is a class.
+        system = build(mq.BoostFPPSpec(2, 1)).materialize(10 ** 4)
+        assert _twin_classes(system) == [list(range(5 * i, 5 * i + 5)) for i in range(7)]
+
+    @pytest.mark.parametrize("spec", [mq.MGridSpec(5, 2), mq.FPPSpec(3), mq.MPathSpec(5, 2)])
+    def test_twin_free(self, spec):
+        system = build(spec).materialize(10 ** 4)
+        assert _twin_classes(system) == [[e] for e in range(system.n)]
+
+    def test_two_words_per_quorum(self):
+        # n = 70 puts each quorum in two uint64 words; elements 0 and 69
+        # trade places, 1 and 2 do not.
+        masks = [1 | 1 << 1, 1 << 69 | 1 << 1, 1 << 2 | 1 << 3]
+        system = ExplicitQuorumSystem.from_masks(70, masks)
+        assert _twin_classes(system) == _brute_twin_classes(system)
+        assert [0, 69] in _twin_classes(system)
+
+
 class TestMinTransversal:
     @given(wide_systems())
     def test_matches_brute_force(self, system):
@@ -183,6 +264,30 @@ class TestMinTransversal:
         assert size == brute_resilience(system.n, system.quorum_masks()) + 1
         assert witness.bit_count() == size
         assert all(q & witness for q in system.quorum_masks())
+
+    @given(planted_twins())
+    def test_breaks_twin_symmetry_exactly(self, system):
+        size, witness = analysis._min_transversal(system)
+        assert size == brute_resilience(system.n, system.quorum_masks()) + 1
+        assert witness.bit_count() == size
+        assert all(q & witness for q in system.quorum_masks())
+
+    @pytest.mark.parametrize("spec, nodes", [
+        (mq.BoostFPPSpec(2, 1), 84),       # 3141 without the symmetry break
+        (mq.RTSpec(4, 3, 2), 20),          # 119
+        (mq.ThresholdSpec(10, 6), 4),      # 84
+        # 108 without the symmetry break, 23 with the drop rule alone: the
+        # ban of a later class member carries down to the descendants.
+        (mq.ComposedSpec(mq.FPPSpec(2), mq.ThresholdSpec(3, 2)), 19),
+        # n = 70, so each quorum takes two words: 60706 without the break.
+        (mq.ComposedSpec(mq.FPPSpec(2), mq.ThresholdSpec(10, 9)), 61),
+        (mq.MGridSpec(5, 2), 165),         # twin-free: as many as without it
+        (mq.MPathSpec(5, 0), 251),
+    ])
+    def test_nodes_visited(self, spec, nodes, caplog):
+        handle = build(spec)
+        size, _, visited = _searched(handle.materialize(10 ** 4), caplog)
+        assert (size, visited) == (handle.params.a_min, nodes)
 
     @pytest.mark.parametrize("spec, a_min", [
         (mq.ThresholdSpec(13, 7), 7),    # 1716 quorums: 27 words each
@@ -222,6 +327,20 @@ class TestMinTransversal:
         message = record.getMessage()
         for field in ("n=13", "m=13", "nodes=", "size=4", "elapsed="):
             assert field in message
+        # FPP(3)'s greedy cover is optimal at the root, so the search never
+        # branches and needs no twin classes.
+        assert "twins=unsearched" in message
+
+    @pytest.mark.parametrize("spec, twins", [
+        (mq.BoostFPPSpec(2, 1), "7x5"),
+        (mq.MGridSpec(5, 2), "none"),
+    ])
+    def test_logs_the_twin_classes(self, spec, twins, caplog):
+        system = build(spec).materialize(10 ** 4)
+        _searched(system, caplog)
+        message = caplog.records[-1].getMessage()
+        assert f"twins={twins} " in message
+        assert re.search(r"detect=\d+\.\d{3} ms", message)
 
 
 class TestResilience:

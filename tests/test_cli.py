@@ -185,6 +185,26 @@ class TestFp:
         assert code == 3
         assert "crash_prob_mc" in err
 
+    @pytest.mark.parametrize("spec", [
+        '{"Threshold": {"k": 100000, "ell": 75001}}',
+        '{"RT": {"k": 4097, "ell": 3073, "h": 1}}',
+        '{"BoostFPP": {"q": 2, "b": 1024}}',
+    ], ids=["Threshold", "RT", "BoostFPP"])
+    def test_threshold_past_its_closed_form_limit(self, capsys, monkeypatch, spec):
+        # The closed form's exact-integer sum is quadratic in k, so k > 4096
+        # is refused before any of it runs; without a mode, fp answers by
+        # Monte Carlo.
+        def refused(*args):
+            raise AssertionError("threshold_g ran past the limit")
+
+        monkeypatch.setattr(mq.constructions, "threshold_g", refused)
+        code, _, err = run_cli(capsys, "fp", spec, "--p", "0.1", "--exact")
+        assert code == 3
+        assert "threshold closed form capped at k <= 4096" in err
+        code, out, _ = run_cli(capsys, "fp", spec, "--p", "0.1", "--trials", "200")
+        assert code == 0
+        assert json.loads(out)["estimate"]["route"] == "monte_carlo"
+
     @pytest.mark.parametrize("spec, mode, route", [
         (THRESHOLD32, "--exact", "closed_form"),
         ('{"RT": {"k": 4, "ell": 3, "h": 5}}', "--exact", "closed_form"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import maskquorum as mq
 from maskquorum import ElementSet, Rng, build
-from maskquorum.constructions import ThresholdHandle
+from maskquorum.constructions import ThresholdHandle, _comb_bits
 from maskquorum.errors import ParameterError, SizeError, UnsupportedOrderError
 
 from oracles import fpp_line_masks
@@ -545,6 +545,19 @@ class TestMaterialize:
         for spec in (mq.RTSpec(4, 3, 13), mq.ThresholdSpec(10 ** 7, 7500001)):
             with pytest.raises(SizeError, match="past the limit"):
                 build(spec).quorum_count()
+
+    @pytest.mark.parametrize("k", [2 ** 40, 2 ** 52, 10 ** 17])
+    @pytest.mark.parametrize("small", [1, 3, 40])
+    def test_count_bits_at_huge_k(self, k, small):
+        # lgamma(k + 1) - lgamma(k - j + 1) cancels there: it gave 184.66
+        # bits for C(2^52, 3), whose count has 153.42.
+        for j in (small, k - small):
+            assert _comb_bits(k, j) == pytest.approx(math.log2(math.comb(k, j)), rel=1e-9)
+
+    def test_names_the_estimate_at_huge_k(self):
+        # C(10^17, 40) has 2099.75 bits; the lgamma difference said 2057.
+        with pytest.raises(SizeError, match="estimated 2100-bit count"):
+            build(mq.ThresholdSpec(10 ** 17, 10 ** 17 - 40)).materialize(10 ** 4)
 
     def test_refuses_from_the_estimate_before_counting(self, monkeypatch):
         # C(10^6, 750001) has 811 267 bits, within quorum_count's limit but
