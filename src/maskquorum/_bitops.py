@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
 # Words of the block temporary of the row-against-row kernels
-# (pair_intersections, ExplicitQuorumSystem.live_batch).  2^16 words stay in
-# cache: at 2^20, a 4096-row live_batch on BoostFPP(2,1) ran 35% slower
+# (smallest_intersection, ExplicitQuorumSystem.live_batch).  2^16 words stay
+# in cache: at 2^20, a 4096-row live_batch on BoostFPP(2,1) ran 35% slower
 # (2-vCPU Xeon).
 BLOCK_WORDS = 1 << 16
-# The size pair_intersections reports for a pair it does not cover (j <= i).
-NO_PAIR = np.iinfo(np.int32).max
 
 
 def popcount(masks: np.ndarray) -> np.ndarray:
@@ -64,24 +61,27 @@ def and_counts(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows[:, None, :] & cols[None]).sum(axis=2, dtype=np.int32)
 
 
-def pair_intersections(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Intersection sizes of every pair of distinct rows of a packed word matrix.
-
-    For a (m, W) matrix, yields (i0, sizes) for consecutive blocks of rows,
-    in ascending order: sizes[k, j] = popcount(words[i0 + k] & words[j]) for
-    j > i0 + k, and NO_PAIR for j <= i0 + k.  So each pair i < j appears
-    exactly once, and a row-major scan of the blocks visits the pairs in
-    ascending (i, j) order.  Blocks are sized so that the (block, m, W)
-    temporary holds about BLOCK_WORDS words.
-    """
+def smallest_intersection(words: np.ndarray) -> tuple[int, int, int] | None:
+    """(size, i, j) of the smallest popcount(words[i] & words[j]) over the row
+    pairs i < j of a packed word matrix, the first in (i, j) order; None for
+    fewer than two rows.  Blocks of rows i0:i1 are counted against words[i0 +
+    1:] only (uint8 counts at W = 1), their pairs j <= i set to the count
+    type's maximum, and a block is searched only if its minimum is a new best."""
     m, width = words.shape
-    block = max(1, BLOCK_WORDS // max(1, m * width))
-    cols = np.arange(m)
-    for i0 in range(0, m, block):
-        rows = words[i0:i0 + block]
-        sizes = and_counts(rows, words)
-        sizes[cols[None, :] <= cols[i0:i0 + len(rows), None]] = NO_PAIR
-        yield i0, sizes
+    best = None
+    i0 = 0
+    while i0 < m - 1:
+        cols = words[i0 + 1:]
+        i1 = min(m - 1, i0 + max(1, BLOCK_WORDS // cols.size))
+        rows = words[i0:i1]
+        sizes = np.bitwise_count(rows & cols.T) if width == 1 else and_counts(rows, cols)
+        k = i1 - i0
+        sizes[:, :k][np.tri(k, k, -1, dtype=bool)] = np.iinfo(sizes.dtype).max
+        if best is None or sizes.min() < best[0]:
+            r, c = np.unravel_index(np.argmin(sizes), sizes.shape)
+            best = (int(sizes[r, c]), i0 + int(r), i0 + 1 + int(c))
+        i0 = i1
+    return best
 
 
 def unpack_masks(masks: np.ndarray, n: int) -> np.ndarray:

@@ -7,9 +7,9 @@ masking-load lower bounds.
 
 Each question has one route, and all of them read the system's packed quorum
 words.  The smallest pairwise intersection is ``ExplicitQuorumSystem.
-smallest_pair``: one pass of the blocked popcount kernel
-(``_bitops.pair_intersections``) per system object, and check_masking(sys, 0)
-is the intersection check.  The smallest transversal is a branch and bound
+smallest_pair``: one pass of the upper-triangle popcount kernel
+(``_bitops.smallest_intersection``) per system object, and check_masking(sys,
+0) is the intersection check.  The smallest transversal is a branch and bound
 (``_search_transversal``) on blocks of nodes whose unhit quorums are packed
 words, run once per system object for combinatorial_params, masking_level
 and check_masking's resilience half, and logged at DEBUG on the
@@ -139,7 +139,12 @@ def _twin_leaders(members: np.ndarray, quorum_words: np.ndarray) -> np.ndarray:
     leader = np.arange(n)
     candidate = (off_pair == off_pair.T) & (degree[:, None] == degree) & (leader[:, None] < leader)
     pending = candidate.any(axis=0)
-    keys = np.sort(_row_keys(quorum_words)) if pending.any() else None
+    if pending.any():
+        # The quorums in key order, so that each check's images come nearly
+        # sorted: Threshold(13,7)'s lookups took 380 against 610 us.
+        order = np.argsort(_row_keys(quorum_words))
+        members, quorum_words = members[order], quorum_words[order]
+        keys = _row_keys(quorum_words)
     checks = max(1, SEARCH_WORDS // quorum_words.size)
     while pending.any():
         f = np.flatnonzero(pending)[:checks]
@@ -318,7 +323,7 @@ def combinatorial_params(sys: ExplicitQuorumSystem) -> CombinatorialParams:
     n <= 30 or quorum count <= 10^4.
     """
     a_min = min_transversal_size(sys)
-    c = min(m.bit_count() for m in sys.quorum_masks())
+    c = int(np.bitwise_count(sys.quorum_words).sum(axis=1).min())
     pair = sys.smallest_pair
     # A single-quorum system has no pair: report the quorum size itself.
     return CombinatorialParams(c, c if pair is None else pair[0], a_min)

@@ -8,11 +8,12 @@ composition such as RT), or else enumeration of the 2^n crash sets
 tallying how many crash sets of each cardinality kill the system; the crash
 probability at any p is then sum(N_d * p^d * (1-p)^(n-d)).  Every
 enumeration enters through _profile_of, which tallies the target's
-enumerate_kills(); by default that runs the live predicate shared with Monte
-Carlo, ``live_batch`` on a (T, n) boolean matrix, for handles and explicit
-systems alike.  MPath overrides it: its fill reads the masks as grid words,
-and at r = 1 it fills only half the crash sets, since by the Hex theorem a
-set's complement is live iff the set crosses the grid neither way.  Monte
+enumerate_kills(); for a handle that by default runs the live predicate
+shared with Monte Carlo, ``live_batch`` on a (T, n) boolean matrix.  Explicit
+systems, and FPP through its plane, read each chunk of masks as the packed
+words it already is.  MPath's fill reads the masks as grid words too, and at
+r = 1 it fills only half the crash sets, since by the Hex theorem a set's
+complement is live iff the set crosses the grid neither way.  Monte
 Carlo uses counter-based randomness, so estimates are bit-identical for a
 given seed regardless of chunking or thread count.
 
@@ -106,14 +107,18 @@ def mask_chunks(bits: int) -> Iterator[np.ndarray]:
         yield np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.uint32)
 
 
-def live_batch_kills(target) -> Iterator[np.ndarray]:
-    """The default enumerate_kills of handles and explicit systems: live_batch
-    on every alive set of the 2^n, unpacked to boolean rows a chunk at a
-    time, yielding each chunk's kill counts by crash size."""
-    n = target.n
+def mask_kills(n: int, live_of: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """Each chunk's kill counts by crash size over the 2^n alive sets, given
+    live_of(masks), the live rows of a chunk of masks."""
     for masks in mask_chunks(n):
-        live = target.live_batch(unpack_masks(masks, n))
-        yield np.bincount(n - popcount(masks[~live]), minlength=n + 1)
+        yield np.bincount(n - popcount(masks[~live_of(masks)]), minlength=n + 1)
+
+
+def live_batch_kills(target) -> Iterator[np.ndarray]:
+    """The default enumerate_kills of handles: live_batch on every alive set
+    of the 2^n, unpacked to boolean rows a chunk at a time."""
+    n = target.n
+    return mask_kills(n, lambda masks: target.live_batch(unpack_masks(masks, n)))
 
 
 def _require_enumerable(n: int) -> None:

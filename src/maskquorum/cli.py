@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._bitops import iter_bits
 from .analysis import LP_MAX_QUORUMS, check_masking, combinatorial_params, is_fair, load_lp
 from .availability import EstimateResult, crash_prob_exact, crash_prob_mc
 from .constructions import build
@@ -138,7 +139,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         out["explicit"] = {
             "n": system.n,
             "quorum_count": system.m,
-            "quorums": [sorted(q.members()) for q in system.quorums],
+            "quorums": [list(iter_bits(mask)) for mask in system.quorum_masks()],
         }
     except SizeError:  # more than 10^4 quorums: the params alone
         pass
@@ -206,7 +207,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     masking = check_masking(system, params.b)
     if masking.violating_pair is not None:
         i, j = masking.violating_pair
-        common = len(system.quorums[i] & system.quorums[j])
+        masks = system.quorum_masks()
+        common = (masks[i] & masks[j]).bit_count()
         mismatches.append(f"masking check failed at b={params.b}: quorums {i} and {j} "
                           f"share {common} elements, masking needs 2b+1 = {2 * params.b + 1}")
     elif not masking:

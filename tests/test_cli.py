@@ -567,15 +567,15 @@ class TestOracle:
         # combinatorial_params and check_masking share the system's
         # smallest pair.
         passes = []
-        kernel = mq._bitops.pair_intersections
+        kernel = mq._bitops.smallest_intersection
 
         def counting_kernel(words):
             passes.append(len(words))
             return kernel(words)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("maskquorum.") and hasattr(module, "pair_intersections"):
-                monkeypatch.setattr(module, "pair_intersections", counting_kernel)
+            if name.startswith("maskquorum.") and hasattr(module, "smallest_intersection"):
+                monkeypatch.setattr(module, "smallest_intersection", counting_kernel)
         code, _, _ = run_cli(capsys, "oracle", '{"BoostFPP": {"q": 2, "b": 1}}')
         assert code == 0
         assert passes == [875]
@@ -666,3 +666,43 @@ print(json.dumps([m for m in ("scipy.optimize", "concurrent.futures") if m in sy
         proc = run_python("-m", "maskquorum", *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected
+
+
+# The benchmark's oracle roster, plus RT(3,2,3).
+GOLDEN_ROSTER = [
+    {"MGrid": {"side": 2, "b": 0}}, {"MGrid": {"side": 3, "b": 0}},
+    {"MGrid": {"side": 3, "b": 1}}, {"MGrid": {"side": 4, "b": 1}},
+    {"MGrid": {"side": 5, "b": 2}},
+    {"Threshold": {"k": 3, "ell": 2}}, {"Threshold": {"k": 4, "ell": 3}},
+    {"Threshold": {"k": 5, "ell": 4}}, {"Threshold": {"k": 10, "ell": 6}},
+    {"RT": {"k": 3, "ell": 2, "h": 2}}, {"RT": {"k": 4, "ell": 3, "h": 2}},
+    {"FPP": {"q": 2}}, {"FPP": {"q": 3}}, {"BoostFPP": {"q": 2, "b": 1}},
+    {"MPath": {"side": 4, "b": 1}}, {"MPath": {"side": 5, "b": 0}},
+    {"MPath": {"side": 5, "b": 2}},
+    {"RT": {"k": 3, "ell": 2, "h": 3}},
+]
+GOLDEN_ARGVS = (
+    [["oracle", json.dumps(spec), "--seed", str(seed)] for seed in (0, 5) for spec in GOLDEN_ROSTER]
+    + [["compose", '{"FPP": {"q": 2}}', '{"Threshold": {"k": 3, "ell": 2}}']]
+    + [["load", json.dumps(spec)] for spec in (
+        {"FPP": {"q": 3}}, {"MGrid": {"side": 4, "b": 1}}, {"RT": {"k": 3, "ell": 2, "h": 2}},
+        {"Threshold": {"k": 5, "ell": 4}}, {"BoostFPP": {"q": 2, "b": 1}})]
+    + [["table8"], ["table8", "--format", "json"]])
+
+
+class TestGoldenOutputs:
+    """oracle, compose, load and table8 print, byte for byte, what they
+    printed before the explicit system moved onto masks and words."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        entries = json.loads((GOLDEN / "oracle_roster.json").read_text())
+        assert [entry["argv"] for entry in entries] == GOLDEN_ARGVS
+        return entries
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_ARGVS)),
+                             ids=[" ".join(argv[:2]) + " " + argv[-1] for argv in GOLDEN_ARGVS])
+    def test_matches_golden(self, capsys, golden, index):
+        entry = golden[index]
+        code, out, _ = run_cli(capsys, *entry["argv"])
+        assert (code, out) == (entry["code"], entry["stdout"])
